@@ -6,6 +6,15 @@ k_opt, the published locality bounds (Gopalan, Prakash, Cadambe-Mazumdar,
 ABHMT), and the residual-chain bounds that feed the Griesmer length of the
 local codes into the shortening argument.
 
+The Griesmer sum is constant-tailed: once q^i >= d every term ceil(d/q^i)
+is 1.  With T the L = O(log_q d) terms above 1 (those with q^i < d),
+G(k, d) = sum(T[:k]) for k <= L and sum(T) + (k - L) beyond, and the
+dimension form inverts that along the prefix sums of T.  The Hamming and
+Plotkin dimensions are one exact integer floor-log each.  So every
+dimension bound costs O(log_q d) integer steps plus the bigint arithmetic
+of the sphere size, and the composite k_opt is memoised in an LRU cache of
+4096 entries, which bounds the memory of long-lived sweeps.
+
 Conventions shared by the composite bounds:
   * k_opt(n, d) = 0 when no nonzero code fits (n <= 0 or d > n);
   * terms of a minimization whose shortened length is <= 0 are skipped.
@@ -20,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil, comb
+from math import ceil, comb, log2
 
 LOGCONVEX_CHOICES = ("singleton", "hamming", "plotkin", "best")
 
@@ -40,17 +49,23 @@ class BoundReport:
     components: tuple[str, ...]
 
 
+def _griesmer_terms(d: int, q: int) -> list[int]:
+    """The Griesmer terms above 1: ceil(d/q^i) for every i with q^i < d."""
+    terms = []
+    p = 1
+    while p < d:
+        terms.append(-(-d // p))
+        p *= q
+    return terms
+
+
 def griesmer_length(k: int, d: int, q: int) -> int:
     """Minimal length of a linear [*, k, d] code over GF(q): sum of ceil(d/q^i)."""
     _check_pos("k", k, 0)
     _check_pos("d", d)
     _check_pos("q", q, 2)
-    total = 0
-    p = 1
-    for _ in range(k):
-        total += -(-d // p)
-        p *= q
-    return total
+    terms = _griesmer_terms(d, q)
+    return sum(terms[:k]) + max(0, k - len(terms))
 
 
 def griesmer_dim(n: int, d: int, q: int) -> int:
@@ -58,10 +73,13 @@ def griesmer_dim(n: int, d: int, q: int) -> int:
     _check_pos("n", n, 0)
     _check_pos("d", d)
     _check_pos("q", q, 2)
-    k = 0
-    while griesmer_length(k + 1, d, q) <= n:
-        k += 1
-    return k
+    terms = _griesmer_terms(d, q)
+    total = 0
+    for k, term in enumerate(terms):
+        if total + term > n:
+            return k
+        total += term
+    return len(terms) + n - total
 
 
 def k_singleton(n: int, d: int, q: int) -> int:
@@ -74,17 +92,27 @@ def hamming_ball(n: int, radius: int, q: int) -> int:
     return sum(comb(n, j) * (q - 1) ** j for j in range(radius + 1))
 
 
+def _floor_log(m: int, q: int) -> int:
+    """Largest k with q^k <= m, for integers m >= 1 and q >= 2."""
+    # 2^(b-1) <= m < 2^b puts the answer within one of (b-1)/log2(q)
+    k = int((m.bit_length() - 1) / log2(q))
+    p = q**k
+    while p > m:
+        k -= 1
+        p //= q
+    while p * q <= m:
+        k += 1
+        p *= q
+    return k
+
+
 def k_hamming(n: int, d: int, q: int) -> int:
     """Hamming (sphere-packing) bound on dimension, exact integer arithmetic."""
     if n <= 0 or d > n:
         return 0
     t = (d - 1) // 2
-    ball = hamming_ball(n, t, q)
-    space = q**n
-    k = 0
-    while q ** (k + 1) * ball <= space:
-        k += 1
-    return k
+    # q^k * ball <= q^n  <=>  q^k <= floor(q^n / ball), and ball <= q^n
+    return _floor_log(q**n // hamming_ball(n, t, q), q)
 
 
 def k_plotkin(n: int, d: int, q: int):
@@ -98,13 +126,10 @@ def k_plotkin(n: int, d: int, q: int):
     if q * d <= (q - 1) * n:
         return 0, False
     m_cap = (q * d) // (q * d - (q - 1) * n)
-    k = 0
-    while q ** (k + 1) <= m_cap:
-        k += 1
-    return k, True
+    return _floor_log(m_cap, q), True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def k_opt_components(n: int, d: int, q: int):
     """Composite dimension bound with the names of the active components.
 

@@ -30,6 +30,7 @@ from .code_core import (
     save_code,
 )
 from .constructions import simplex
+from .galois import prime_factorization
 from .locality import compute_locality, profile_from_repair_sets, verify_repair_set
 from .set_builder import BuilderError, build_low_entropy_set
 from .verification import run_reference_checks
@@ -180,6 +181,12 @@ def cmd_bounds(args) -> int:
 
 def _bounds_table(args) -> int:
     n, d, q, delta = args.n, args.d, args.q, args.delta
+    if args.kappa is None and args.r is None:
+        raise ValueError("provide --kappa and/or --r")
+    if len(prime_factorization(q)) != 1:
+        raise ValueError(f"q = {q} is not a prime power")
+    if args.k is not None and args.k > n:
+        raise ValueError(f"k = {args.k} exceeds n = {n}")
     rows = []
     if args.kappa is not None:
         rep = bnd.k_bound_reschain(n, d, args.kappa, delta, q)
@@ -202,9 +209,6 @@ def _bounds_table(args) -> int:
                 rows.append(("prakash [d]", bnd.d_bound_prakash(n, args.k, args.r, delta), ""))
                 rows.append(("gopalan [d]", bnd.d_bound_gopalan(n, args.k, args.r), ""))
     rows.append(("k_opt", bnd.k_opt(n, d, q), "locality-free composite"))
-    if not rows:
-        print("error: provide --kappa and/or --r", file=sys.stderr)
-        return EXIT_INPUT
     if args.json:
         print(json.dumps({name: value for name, value, _ in rows}, indent=1, sort_keys=True))
         return EXIT_OK

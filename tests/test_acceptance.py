@@ -43,6 +43,7 @@ from lrckit.bounds import (
     k_bound_reschain,
     k_bound_reschain_rdelta,
     k_opt,
+    k_opt_components,
     local_dim_bound,
     local_dim_bound_logconvex,
 )
@@ -293,3 +294,22 @@ def test_criterion_11_verify_paper_exit_zero():
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert proc.stdout.count("PASS") == 5
     report(11, "verify-paper exits 0", b)
+
+
+def test_criterion_12_reschain_at_n_2000():
+    # the values were confirmed once against the loop definitions of the
+    # Griesmer and Hamming dimension bounds, which took 161 s here
+    with budget(5.0) as b:
+        k_opt_components.cache_clear()
+        rep = k_bound_reschain(2000, 50, 3, 3, 2)
+        assert rep.value == 955
+        assert rep.witness["lambda"] == 951
+        assert rep.witness["shortened_length"] == 98
+        proc = subprocess.run(
+            [sys.executable, "-m", "lrckit.cli", "bounds", "--n", "2000", "--d", "50",
+             "--q", "2", "--delta", "3", "--kappa", "3"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "reschain(kappa)  955   (lambda=951 len=98)" in proc.stdout
+    report(12, "reschain bound at n = 2000", b)

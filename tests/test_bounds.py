@@ -5,7 +5,7 @@ dominance relations, monotonicity, and soundness against real codes."""
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrckit import compute_locality, example_code, min_distance, simplex
@@ -15,6 +15,7 @@ from lrckit.bounds import (
     d_bound_prakash,
     griesmer_dim,
     griesmer_length,
+    hamming_ball,
     k_bound_abhmt,
     k_bound_cm,
     k_bound_cm_rdelta,
@@ -70,6 +71,81 @@ def test_griesmer_cardinality_not_log_convex():
     k1, k1p, k2p = griesmer_dim(8, 5, 2), griesmer_dim(7, 5, 2), griesmer_dim(9, 5, 2)
     assert (k1, k1p, k2p) == (2, 1, 2)
     assert 2 ** (k1 + k1) > 2 ** (k1p + k2p)
+
+
+# --- closed forms against the loop definitions they replaced ---
+
+def griesmer_length_loop(k, d, q):
+    total = 0
+    p = 1
+    for _ in range(k):
+        total += -(-d // p)
+        p *= q
+    return total
+
+
+def griesmer_dim_loop(n, d, q):
+    k = 0
+    while griesmer_length_loop(k + 1, d, q) <= n:
+        k += 1
+    return k
+
+
+def k_hamming_loop(n, d, q):
+    if n <= 0 or d > n:
+        return 0
+    ball = hamming_ball(n, (d - 1) // 2, q)
+    space = q**n
+    k = 0
+    while q ** (k + 1) * ball <= space:
+        k += 1
+    return k
+
+
+def k_plotkin_loop(n, d, q):
+    if n <= 0 or d > n:
+        return 0, False
+    if q * d <= (q - 1) * n:
+        return 0, False
+    m_cap = (q * d) // (q * d - (q - 1) * n)
+    k = 0
+    while q ** (k + 1) <= m_cap:
+        k += 1
+    return k, True
+
+
+ORACLE_Q = (2, 3, 4, 5, 7, 8, 9, 16)
+
+
+def assert_dims_match_loops(n, d, q):
+    assert griesmer_dim(n, d, q) == griesmer_dim_loop(n, d, q)
+    assert k_hamming(n, d, q) == k_hamming_loop(n, d, q)
+    assert k_plotkin(n, d, q) == k_plotkin_loop(n, d, q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    q=st.sampled_from(ORACLE_Q),
+    n=st.integers(0, 600),
+    d=st.integers(1, 500),
+    k=st.integers(0, 60),
+)
+def test_closed_forms_match_loops(q, n, d, k):
+    assert griesmer_length(k, d, q) == griesmer_length_loop(k, d, q)
+    assert_dims_match_loops(n, d, q)
+
+
+def test_closed_forms_match_loops_at_edges():
+    # d = 1, exact powers of q and their neighbours; n = 0, d > n, k = 0 and
+    # k on either side of the number of Griesmer terms above 1
+    for q in ORACLE_Q:
+        powers = [q**e for e in range(10) if q**e <= 512]
+        for d in sorted({1, 2, 500} | {p + off for p in powers for off in (-1, 0, 1)} - {0}):
+            terms_above_one = sum(1 for p in powers if p < d)
+            for k in (0, 1, terms_above_one, terms_above_one + 1, 60):
+                assert griesmer_length(k, d, q) == griesmer_length_loop(k, d, q)
+            for n in (0, 1, d - 1, d, d + 1, 600):
+                assert_dims_match_loops(n, d, q)
 
 
 # --- classical dimension bounds ---

@@ -97,6 +97,39 @@ def test_bounds_command_json(capsys):
     assert data["cm_rdelta"] == 4
 
 
+def test_bounds_needs_kappa_or_r(capsys):
+    rc = main(["bounds", "--n", "13", "--d", "3", "--q", "2", "--delta", "3"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "provide --kappa and/or --r" in captured.err
+
+
+def test_bounds_rejects_k_above_n(capsys):
+    rc = main(["bounds", "--n", "20", "--d", "3", "--q", "2",
+               "--delta", "3", "--r", "2", "--k", "30"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "k = 30 exceeds n = 20" in captured.err
+
+
+@pytest.mark.parametrize("q", ["6", "1", "0", "-4"])
+def test_bounds_rejects_non_prime_power_q(q, capsys):
+    rc = main(["bounds", "--n", "13", "--d", "3", "--q", q, "--delta", "3", "--kappa", "3"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"q = {q} is not a prime power" in captured.err
+
+
+def test_bounds_accepts_k_equal_to_n_and_prime_power_q(capsys):
+    rc = main(["bounds", "--n", "20", "--d", "3", "--q", "9",
+               "--delta", "3", "--r", "2", "--k", "20", "--json"])
+    assert rc == 0
+    assert "prakash [d]" in json.loads(capsys.readouterr().out)
+
+
 def test_asymptotic_to_stdout(capsys):
     rc = main(["asymptotic", "--r", "4", "--delta", "3", "--q", "2",
                "--bounds", "prakash,local_griesmer", "--grid", "16"])
