@@ -1,10 +1,15 @@
 """CLI surface: every subcommand, exit codes, and output determinism."""
 
+import contextlib
+import io
 import json
+import os
+from pathlib import Path
 
 import pytest
 
 from lrckit import example_code, save_code
+from lrckit.constructions import EXAMPLE_IDS
 from lrckit.cli import main
 
 
@@ -210,3 +215,63 @@ def test_verify_paper_passes(capsys):
     assert out.count("PASS") == 5
     assert "FAIL" not in out
     assert "all checks passed" in out
+
+
+# --- byte-exact golden output ---
+#
+# tests/golden/ holds the exact stdout of `analyze` and `bounds` for fixed
+# inputs.  Any refactor of the report code must reproduce it byte for byte;
+# a deliberate output change rewrites the affected files in the same change.
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# name -> argv; analyze runs from a directory holding ex1.json .. ex3.json,
+# so the file name printed in the report does not depend on the machine
+GOLDEN_CASES = {
+    **{f"analyze_ex{i}.txt": ["analyze", f"ex{i}.json", "--delta", "3", "--no-timestamp"]
+       for i in EXAMPLE_IDS},
+    **{f"analyze_ex{i}.json": ["analyze", f"ex{i}.json", "--delta", "3", "--json"]
+       for i in EXAMPLE_IDS},
+    "analyze_ex3_infeasible.txt": ["analyze", "ex3.json", "--delta", "3", "--cap", "2",
+                                   "--no-timestamp"],
+    "analyze_ex3_infeasible.json": ["analyze", "ex3.json", "--delta", "3", "--cap", "2",
+                                    "--json"],
+    **{f"bounds_{name}.{ext}": [
+        "bounds", *argv, *(["--json"] if ext == "json" else [])]
+       for name, argv in {
+           "kappa": ["--n", "13", "--d", "3", "--q", "2", "--delta", "3", "--kappa", "3"],
+           "r": ["--n", "40", "--d", "6", "--q", "3", "--delta", "3", "--r", "4"],
+           "r_le_k": ["--n", "20", "--d", "4", "--q", "4", "--delta", "2", "--r", "3",
+                      "--k", "9"],
+           "r_gt_k": ["--n", "6", "--d", "2", "--q", "2", "--delta", "2", "--r", "5",
+                      "--k", "3"],
+           "all": ["--n", "30", "--d", "5", "--q", "2", "--delta", "3", "--kappa", "2",
+                   "--r", "3", "--k", "10"],
+       }.items()
+       for ext in ("txt", "json")},
+}
+
+
+def golden_output(name: str, workdir: Path) -> str:
+    """stdout of the CLI for GOLDEN_CASES[name], run from `workdir`."""
+    for i in EXAMPLE_IDS:
+        ex = example_code(i)
+        path = workdir / f"ex{i}.json"
+        if not path.exists():
+            save_code(ex.code, path, repair_sets=ex.repair_sets)
+    buf = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(buf):
+            rc = main(GOLDEN_CASES[name])
+    finally:
+        os.chdir(cwd)
+    assert rc == 0
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_output(name, tmp_path):
+    expected = (GOLDEN / name).read_text(encoding="utf-8")
+    assert golden_output(name, tmp_path) == expected
