@@ -4,7 +4,9 @@ Pure integer functions: the Griesmer length bound and its dimension form,
 the classical Singleton/Hamming/Plotkin dimension bounds and their composite
 k_opt, the published locality bounds (Gopalan, Prakash, Cadambe-Mazumdar,
 ABHMT), and the residual-chain bounds that feed the Griesmer length of the
-local codes into the shortening argument.
+local codes into the shortening argument.  `bound_table` evaluates every
+locality bound that applies to one parameter set; the CLI reports and
+`constructions.verify_optimality` all read their bounds from it.
 
 The Griesmer sum is constant-tailed: once q^i >= d every term ceil(d/q^i)
 is 1.  With T the L = O(log_q d) terms above 1 (those with q^i < d),
@@ -354,3 +356,62 @@ def d_bound_local_griesmer(n: int, k: int, r: int, delta: int, q: int) -> int:
         - blocks * griesmer_length(kappa_b, delta, q)
         + griesmer_length(kappa_b - b, delta, q)
     )
+
+
+# --- the bound table ---
+
+
+@dataclass(frozen=True)
+class BoundTable:
+    """Every locality bound that applies to one parameter set.
+
+    k_bounds and d_bounds map bound names to values in display order;
+    witnesses maps the residual-chain rows to their BoundReport witnesses.
+    """
+
+    k_bounds: dict
+    d_bounds: dict
+    witnesses: dict
+
+    def met(self, k: int, d: int) -> tuple[str, ...]:
+        """Sorted names of the bounds an [n, k, d] code meets with equality."""
+        return tuple(sorted(
+            [name for name, v in self.k_bounds.items() if v == k]
+            + [name for name, v in self.d_bounds.items() if v == d]
+        ))
+
+
+def bound_table(n: int, d: int, q: int, delta: int, *, k: int | None = None,
+                r: int | None = None, kappa: int | None = None) -> BoundTable:
+    """Evaluate the locality bounds that apply to the given parameters.
+
+    kappa adds the residual-chain rows reschain and reschain_coarse; r adds
+    reschain_rdelta, cm_rdelta, cm (when its range is nonempty) and abhmt;
+    r and k together add the distance bounds local_griesmer, plus prakash
+    and gopalan when r <= k.  Rows are evaluated in that order, so the first
+    invalid parameter raises the same ValueError whichever caller asks.
+    """
+    k_bounds: dict = {}
+    d_bounds: dict = {}
+    witnesses: dict = {}
+
+    def add(rep: BoundReport) -> None:
+        k_bounds[rep.name] = rep.value
+        witnesses[rep.name] = rep.witness
+
+    if kappa is not None:
+        add(k_bound_reschain(n, d, kappa, delta, q))
+        add(k_bound_reschain_coarse(n, d, kappa, delta, q))
+    if r is not None:
+        add(k_bound_reschain_rdelta(n, d, r, delta, q))
+        k_bounds["cm_rdelta"] = k_bound_cm_rdelta(n, d, r, delta, q)
+        cm = k_bound_cm(n, d, r, q)
+        if cm is not None:
+            k_bounds["cm"] = cm
+        k_bounds["abhmt"] = k_bound_abhmt(n, d, r, delta, q, "best")
+        if k is not None:
+            d_bounds["local_griesmer"] = d_bound_local_griesmer(n, k, r, delta, q)
+            if r <= k:
+                d_bounds["prakash"] = d_bound_prakash(n, k, r, delta)
+                d_bounds["gopalan"] = d_bound_gopalan(n, k, r)
+    return BoundTable(k_bounds, d_bounds, witnesses)

@@ -9,7 +9,9 @@ Subcommands:
   build-set     run the low-entropy set construction and print its trace
   verify-paper  run the built-in reference checks; exit 0 only if all pass
 
-Exit codes: 0 success, 1 verification failure, 2 input error.
+Exit codes: 0 success, 1 verification failure, 2 input error (`main` turns
+every ValueError or BuilderError a command raises into "error: ..." on
+stderr and exit 2).
 All coordinates printed or read here are 1-based.
 """
 
@@ -23,7 +25,6 @@ from datetime import datetime, timezone
 from . import asymptotic as asy
 from . import bounds as bnd
 from .code_core import (
-    CodeFormatError,
     coords_to_1based,
     load_code,
     min_distance,
@@ -39,6 +40,10 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 
+# `bounds` checks that --q is a prime power by trial division up to sqrt(q);
+# at this cap the largest prime below it takes about 10 ms
+MAX_Q = 1 << 32
+
 
 def _timestamp_line(suppress: bool) -> list[str]:
     if suppress:
@@ -46,23 +51,16 @@ def _timestamp_line(suppress: bool) -> list[str]:
     return [f"generated: {datetime.now(timezone.utc).isoformat(timespec='seconds')}"]
 
 
-def _fmt_set(s) -> str:
-    return "{" + ",".join(str(v) for v in coords_to_1based(s)) + "}"
+def _fmt_set(coords) -> str:
+    """Braced list of 1-based coordinates, e.g. {1,2,5}."""
+    return "{" + ",".join(str(v) for v in coords) + "}"
 
 
 def cmd_analyze(args) -> int:
-    try:
-        code, declared_sets = load_code(args.file)
-    except CodeFormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    code, declared_sets = load_code(args.file)
     delta = args.delta
-    try:
-        d = min_distance(code)
-        profile = compute_locality(code, delta, size_cap=args.cap)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    d = min_distance(code)
+    profile = compute_locality(code, delta, size_cap=args.cap)
 
     report: dict = {
         "file": str(args.file),
@@ -81,6 +79,13 @@ def cmd_analyze(args) -> int:
             "entropy_witness": {str(i + 1): coords_to_1based(s)
                                 for i, s in sorted(profile.entropy_witness.items())},
         }
+        table = bnd.bound_table(code.n, d, code.q, delta,
+                                k=code.k, r=profile.r, kappa=profile.kappa)
+        report["k_bounds"] = table.k_bounds
+        report["d_bounds"] = table.d_bounds
+        report["witnesses"] = {name: table.witnesses[name]
+                               for name in ("reschain", "reschain_rdelta")}
+        report["optimal"] = list(table.met(code.k, d))
     else:
         report["locality"] = {
             "infeasible_coordinates": [i + 1 for i in profile.infeasible],
@@ -99,115 +104,75 @@ def cmd_analyze(args) -> int:
             for chk in [verify_repair_set(code, s, delta)]
         ]
 
-    if profile.feasible:
-        n, k, q, r, kappa = code.n, code.k, code.q, profile.r, profile.kappa
-        rk = bnd.k_bound_reschain(n, d, kappa, delta, q)
-        rkr = bnd.k_bound_reschain_rdelta(n, d, r, delta, q)
-        k_bounds = {
-            "reschain": rk.value,
-            "reschain_coarse": bnd.k_bound_reschain_coarse(n, d, kappa, delta, q).value,
-            "reschain_rdelta": rkr.value,
-            "cm_rdelta": bnd.k_bound_cm_rdelta(n, d, r, delta, q),
-            "abhmt": bnd.k_bound_abhmt(n, d, r, delta, q, "best"),
-        }
-        cm = bnd.k_bound_cm(n, d, r, q)
-        if cm is not None:
-            k_bounds["cm"] = cm
-        d_bounds = {"local_griesmer": bnd.d_bound_local_griesmer(n, k, r, delta, q)}
-        if r <= k:
-            d_bounds["prakash"] = bnd.d_bound_prakash(n, k, r, delta)
-            d_bounds["gopalan"] = bnd.d_bound_gopalan(n, k, r)
-        report["k_bounds"] = k_bounds
-        report["d_bounds"] = d_bounds
-        report["witnesses"] = {"reschain": rk.witness, "reschain_rdelta": rkr.witness}
-        report["optimal"] = sorted(
-            [name for name, v in k_bounds.items() if v == k]
-            + [name for name, v in d_bounds.items() if v == d]
-        )
-
     if args.json:
         print(json.dumps(report, indent=1, sort_keys=True))
-        return EXIT_OK
-
-    lines = _timestamp_line(args.no_timestamp)
-    lines += [
-        f"code: {args.file}",
-        f"field: GF({code.q})",
-        f"parameters: [{code.n}, {code.k}, {d}]",
-        f"locality at delta = {delta} (size cap {profile.size_cap}"
-        + (", cap active" if profile.cap_active else "") + "):",
-    ]
-    if profile.feasible:
-        lines.append(f"  r = {profile.r}   kappa = {profile.kappa}")
-        lines.append("  coord  min-size set        min-entropy set")
-        for i in range(code.n):
-            lines.append(
-                f"  {i + 1:>5}  {_fmt_set(profile.size_witness[i]):<18}  "
-                f"{_fmt_set(profile.entropy_witness[i])}"
-            )
     else:
-        lines.append(
-            "  infeasible under cap for coordinates "
-            + ", ".join(str(i + 1) for i in profile.infeasible)
-        )
-    if declared_sets:
+        print("\n".join(_timestamp_line(args.no_timestamp) + _analyze_lines(report)))
+    return EXIT_OK
+
+
+def _analyze_lines(report: dict) -> list[str]:
+    """The text form of an `analyze` report dict."""
+    n, k, d = report["parameters"]
+    loc = report["locality"]
+    lines = [
+        f"code: {report['file']}",
+        f"field: GF({report['q']})",
+        f"parameters: [{n}, {k}, {d}]",
+        f"locality at delta = {report['delta']} (size cap {report['size_cap']}"
+        + (", cap active" if report["cap_active"] else "") + "):",
+    ]
+    if "infeasible_coordinates" in loc:
+        lines.append("  infeasible under cap for coordinates "
+                     + ", ".join(str(i) for i in loc["infeasible_coordinates"]))
+    else:
+        lines.append(f"  r = {loc['r']}   kappa = {loc['kappa']}")
+        lines.append("  coord  min-size set        min-entropy set")
+        for coord, s in loc["size_witness"].items():
+            lines.append(f"  {coord:>5}  {_fmt_set(s):<18}  "
+                         f"{_fmt_set(loc['entropy_witness'][coord])}")
+    if "declared_repair_sets" in report:
         lines.append("declared repair sets:")
         for entry in report["declared_repair_sets"]:
             status = "ok" if entry["valid"] else f"INVALID ({entry.get('reason', '')})"
             lines.append(
-                f"  {{{','.join(map(str, entry['coords']))}}}: H={entry['entropy']} "
+                f"  {_fmt_set(entry['coords'])}: H={entry['entropy']} "
                 f"|R|={entry['size']} d={entry['distance']} {status}"
             )
-    if profile.feasible:
-        lines.append("bounds on k:")
-        for name, v in sorted(report["k_bounds"].items()):
-            met = "  <- met with equality" if v == code.k else ""
-            lines.append(f"  {name:<16} {v}{met}")
-        lines.append("bounds on d:")
-        for name, v in sorted(report["d_bounds"].items()):
-            met = "  <- met with equality" if v == d else ""
-            lines.append(f"  {name:<16} {v}{met}")
-    print("\n".join(lines))
-    return EXIT_OK
+    if "optimal" in report:
+        for side in ("k", "d"):
+            lines.append(f"bounds on {side}:")
+            for name, v in sorted(report[f"{side}_bounds"].items()):
+                met = "  <- met with equality" if name in report["optimal"] else ""
+                lines.append(f"  {name:<16} {v}{met}")
+    return lines
+
+
+# display labels and witness notes of the `bounds` rows
+_BOUNDS_LABELS = {"reschain": "reschain(kappa)", "abhmt": "abhmt(best)"}
+_BOUNDS_NOTES = {
+    "reschain": lambda w: f"lambda={w['lambda']} len={w['shortened_length']}",
+    "reschain_rdelta": lambda w: f"kappa_B={w['kappa_b']} lambda={w['lambda']}",
+}
 
 
 def cmd_bounds(args) -> int:
-    try:
-        return _bounds_table(args)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-
-
-def _bounds_table(args) -> int:
     n, d, q, delta = args.n, args.d, args.q, args.delta
     if args.kappa is None and args.r is None:
         raise ValueError("provide --kappa and/or --r")
+    if q > MAX_Q:
+        raise ValueError(f"q = {q} is above the cap {MAX_Q} on --q")
     if len(prime_factorization(q)) != 1:
         raise ValueError(f"q = {q} is not a prime power")
     if args.k is not None and args.k > n:
         raise ValueError(f"k = {args.k} exceeds n = {n}")
-    rows = []
-    if args.kappa is not None:
-        rep = bnd.k_bound_reschain(n, d, args.kappa, delta, q)
-        rows.append(("reschain(kappa)", rep.value,
-                     f"lambda={rep.witness['lambda']} len={rep.witness['shortened_length']}"))
-        rows.append(("reschain_coarse", bnd.k_bound_reschain_coarse(n, d, args.kappa, delta, q).value, ""))
-    if args.r is not None:
-        rep = bnd.k_bound_reschain_rdelta(n, d, args.r, delta, q)
-        rows.append(("reschain_rdelta", rep.value,
-                     f"kappa_B={rep.witness['kappa_b']} lambda={rep.witness['lambda']}"))
-        rows.append(("cm_rdelta", bnd.k_bound_cm_rdelta(n, d, args.r, delta, q), ""))
-        cm = bnd.k_bound_cm(n, d, args.r, q)
-        if cm is not None:
-            rows.append(("cm", cm, ""))
-        rows.append(("abhmt(best)", bnd.k_bound_abhmt(n, d, args.r, delta, q, "best"), ""))
-        if args.k is not None:
-            rows.append(("local_griesmer [d]",
-                         bnd.d_bound_local_griesmer(n, args.k, args.r, delta, q), ""))
-            if args.r <= args.k:
-                rows.append(("prakash [d]", bnd.d_bound_prakash(n, args.k, args.r, delta), ""))
-                rows.append(("gopalan [d]", bnd.d_bound_gopalan(n, args.k, args.r), ""))
+    table = bnd.bound_table(n, d, q, delta, k=args.k, r=args.r, kappa=args.kappa)
+    rows = [
+        (_BOUNDS_LABELS.get(name, name), value,
+         _BOUNDS_NOTES[name](table.witnesses[name]) if name in _BOUNDS_NOTES else "")
+        for name, value in table.k_bounds.items()
+    ]
+    rows += [(f"{name} [d]", value, "") for name, value in table.d_bounds.items()]
     rows.append(("k_opt", bnd.k_opt(n, d, q), "locality-free composite"))
     if args.json:
         print(json.dumps({name: value for name, value, _ in rows}, indent=1, sort_keys=True))
@@ -227,30 +192,17 @@ def cmd_asymptotic(args) -> int:
     names = [s.strip() for s in args.bounds.split(",") if s.strip()]
     for name in names:
         if name not in asy.CURVE_NAMES:
-            print(f"error: unknown bound {name!r}; choose from {', '.join(asy.CURVE_NAMES)}",
-                  file=sys.stderr)
-            return EXIT_INPUT
+            raise ValueError(f"unknown bound {name!r}; choose from {', '.join(asy.CURVE_NAMES)}")
     grid = asy.default_grid(args.grid)
-    try:
-        if args.out:
-            asy.emit_curves(names, grid, args.r, args.delta, args.q, args.out,
-                            lc_choice=args.lc, ropt_choice=args.ropt)
-            print(f"wrote {args.out}")
-        else:
-            asy.emit_curves(names, grid, args.r, args.delta, args.q, sys.stdout,
-                            lc_choice=args.lc, ropt_choice=args.ropt)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    asy.emit_curves(names, grid, args.r, args.delta, args.q, args.out or sys.stdout,
+                    lc_choice=args.lc, ropt_choice=args.ropt)
+    if args.out:
+        print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_simplex(args) -> int:
-    try:
-        code = simplex(args.m, args.q)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    code = simplex(args.m, args.q)
     d = min_distance(code)
     print(f"S({args.m},{args.q}): [{code.n}, {code.k}, {d}] over GF({args.q})")
     if args.out:
@@ -260,28 +212,17 @@ def cmd_simplex(args) -> int:
 
 
 def cmd_build_set(args) -> int:
-    try:
-        code, declared_sets = load_code(args.code)
-    except CodeFormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        if declared_sets:
-            profile = profile_from_repair_sets(code, declared_sets, args.delta)
-        else:
-            profile = compute_locality(code, args.delta)
-            if not profile.feasible:
-                print("error: no repair sets found under the default cap; "
-                      "declare repair_sets in the code file", file=sys.stderr)
-                return EXIT_INPUT
-        if profile.kappa > args.kappa:
-            print(f"error: witnesses have dimension {profile.kappa} > kappa = {args.kappa}",
-                  file=sys.stderr)
-            return EXIT_INPUT
-        result = build_low_entropy_set(code, profile, args.lam, kappa=args.kappa)
-    except (ValueError, BuilderError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    code, declared_sets = load_code(args.code)
+    if declared_sets:
+        profile = profile_from_repair_sets(code, declared_sets, args.delta)
+    else:
+        profile = compute_locality(code, args.delta)
+        if not profile.feasible:
+            raise ValueError("no repair sets found under the default cap; "
+                             "declare repair_sets in the code file")
+    if profile.kappa > args.kappa:
+        raise ValueError(f"witnesses have dimension {profile.kappa} > kappa = {args.kappa}")
+    result = build_low_entropy_set(code, profile, args.lam, kappa=args.kappa)
 
     if args.json:
         print(json.dumps({
@@ -311,14 +252,14 @@ def cmd_build_set(args) -> int:
     lines += [
         f"code: {args.code}",
         f"lambda = {result.lam} = a*kappa + b with kappa = {result.kappa}, delta = {result.delta}",
-        f"built set: {_fmt_set(result.coords)}",
+        f"built set: {_fmt_set(coords_to_1based(result.coords))}",
         f"entropy: {result.entropy} (guarantee <= {result.guaranteed_entropy})",
         f"size: {result.size} (guarantee >= {result.guaranteed_size})",
         "trace:",
     ]
     for st in result.trace:
         lines.append(
-            f"  {st.action:<22} +{_fmt_set(st.added):<20} "
+            f"  {st.action:<22} +{_fmt_set(coords_to_1based(st.added)):<20} "
             f"H {st.entropy_before}->{st.entropy_after}  |F| {st.size_before}->{st.size_after}"
             + (f"  ({st.note})" if st.note else "")
         )
@@ -398,7 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, BuilderError) as e:  # CodeFormatError is a ValueError
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -233,23 +233,34 @@ def _message_blocks(code: LinearCode, max_words: int, block: int = 1 << 13):
         yield start, digits
 
 
-def min_distance(code: LinearCode, max_words: int = DEFAULT_ENUM_CAP) -> int:
-    """Exact minimum Hamming weight over all q^k - 1 nonzero codewords."""
+def _min_weight_scan(code: LinearCode, max_words: int) -> tuple[int, int]:
+    """(minimum nonzero weight, index of the lex-smallest message attaining it).
+
+    The one enumeration behind `min_distance` and `min_weight_codeword`;
+    the result is cached on the code, so the second of them is free.
+    """
     if code.k == 0:
         raise ValueError("zero-dimensional code has no nonzero codeword")
-    cached = code._cache.get("min_distance")
+    cached = code._cache.get("min_weight")
     if cached is not None:
         return cached
-    best = code.n + 1
+    best_w = code.n + 1
+    best_idx = -1
     for start, digits in _message_blocks(code, max_words):
-        cw = code.field.matmul(digits, code.gen)
-        w = np.count_nonzero(cw, axis=1)
+        w = np.count_nonzero(code.field.matmul(digits, code.gen), axis=1)
         if start == 0:
-            w = w[1:]  # drop the zero message
-        if w.size:
-            best = min(best, int(w.min()))
-    code._cache["min_distance"] = best
-    return best
+            w[0] = code.n + 2  # mask the zero message
+        block_min = int(w.min())
+        if block_min < best_w:
+            best_w = block_min
+            best_idx = start + int(np.argmax(w == block_min))
+    code._cache["min_weight"] = best_w, best_idx
+    return best_w, best_idx
+
+
+def min_distance(code: LinearCode, max_words: int = DEFAULT_ENUM_CAP) -> int:
+    """Exact minimum Hamming weight over all q^k - 1 nonzero codewords."""
+    return _min_weight_scan(code, max_words)[0]
 
 
 def min_weight_codeword(code: LinearCode, max_words: int = DEFAULT_ENUM_CAP):
@@ -258,25 +269,13 @@ def min_weight_codeword(code: LinearCode, max_words: int = DEFAULT_ENUM_CAP):
     Ties break to the lexicographically smallest message vector, so the
     choice is deterministic.
     """
-    if code.k == 0:
-        raise ValueError("zero-dimensional code has no nonzero codeword")
-    best_w = code.n + 1
-    best_idx = -1
-    for start, digits in _message_blocks(code, max_words):
-        cw = code.field.matmul(digits, code.gen)
-        w = np.count_nonzero(cw, axis=1)
-        if start == 0:
-            w[0] = code.n + 2  # mask the zero message
-        block_min = int(w.min())
-        if block_min < best_w:
-            best_w = block_min
-            best_idx = start + int(np.argmax(w == block_min))
-    q, k = code.q, code.k
-    pows = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    digits = tuple(int(d) for d in (best_idx // pows) % q)
-    cw = code.field.matmul(np.array([digits]), code.gen)[0]
+    best_w, best_idx = _min_weight_scan(code, max_words)
+    fld, q, k = code.field, code.q, code.k
+    digits = tuple(int(best_idx // q**(k - 1 - i) % q) for i in range(k))
+    cw = np.zeros(code.n, dtype=np.int16)
+    for digit, row in zip(digits, code.gen):
+        cw = fld.add(cw, fld.mul(digit, row))
     support = frozenset(int(i) for i in np.nonzero(cw)[0])
-    code._cache.setdefault("min_distance", best_w)
     return best_w, digits, support
 
 

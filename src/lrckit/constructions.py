@@ -9,13 +9,7 @@ from itertools import product
 
 import numpy as np
 
-from .bounds import (
-    d_bound_local_griesmer,
-    d_bound_prakash,
-    k_bound_cm_rdelta,
-    k_bound_reschain,
-    k_bound_reschain_rdelta,
-)
+from .bounds import bound_table
 from .code_core import CoordSet, LinearCode, linear_code, min_distance, puncture
 from .galois import field_new
 from .locality import LocalityProfile, compute_locality
@@ -157,7 +151,10 @@ class OptimalityReport:
 def verify_optimality(named: NamedCode | LinearCode, delta: int | None = None,
                       profile: LocalityProfile | None = None) -> OptimalityReport:
     """Evaluate the locality-aware bounds at the code's computed locality and
-    report which ones hold with equality."""
+    report which ones hold with equality.
+
+    The bounds come from `bounds.bound_table`, the same table that
+    `lrckit analyze` prints."""
     if isinstance(named, LinearCode):
         named = NamedCode(name="code", code=named, declared=(named.n, named.k, 0),
                           repair_sets=(), delta=delta if delta is not None else 2,
@@ -171,24 +168,8 @@ def verify_optimality(named: NamedCode | LinearCode, delta: int | None = None,
     n, k, d = code.n, code.k, min_distance(code)
     r, kappa = profile.r, profile.kappa
 
-    k_bounds = {
-        "reschain": k_bound_reschain(n, d, kappa, delta, code.q).value,
-        "reschain_rdelta": k_bound_reschain_rdelta(n, d, r, delta, code.q).value,
-        "cm_rdelta": k_bound_cm_rdelta(n, d, r, delta, code.q),
-    }
-    d_bounds = {
-        "local_griesmer": d_bound_local_griesmer(n, k, r, delta, code.q),
-    }
-    if r <= k:
-        d_bounds["prakash"] = d_bound_prakash(n, k, r, delta)
-
-    met = tuple(
-        sorted(
-            [name for name, v in k_bounds.items() if v == k]
-            + [name for name, v in d_bounds.items() if v == d]
-        )
-    )
+    table = bound_table(n, d, code.q, delta, k=k, r=r, kappa=kappa)
     return OptimalityReport(
         name=named.name, n=n, k=k, d=d, delta=delta, r=r, kappa=kappa,
-        k_bounds=k_bounds, d_bounds=d_bounds, met=met,
+        k_bounds=table.k_bounds, d_bounds=table.d_bounds, met=table.met(k, d),
     )

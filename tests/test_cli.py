@@ -4,13 +4,17 @@ import contextlib
 import io
 import json
 import os
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lrckit import example_code, save_code
+from lrckit import compute_locality, example_code, save_code, verify_optimality
 from lrckit.constructions import EXAMPLE_IDS
-from lrckit.cli import main
+
+from conftest import random_code
+from lrckit.cli import MAX_Q, main
 
 
 @pytest.fixture()
@@ -126,6 +130,25 @@ def test_bounds_rejects_non_prime_power_q(q, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"q = {q} is not a prime power" in captured.err
+
+
+def test_bounds_refuses_q_above_cap_before_factoring(capsys):
+    q = 2**61 - 1  # a prime: trial division to its square root would run for minutes
+    t0 = time.perf_counter()
+    rc = main(["bounds", "--n", "13", "--d", "3", "--q", str(q), "--delta", "3", "--kappa", "3"])
+    assert time.perf_counter() - t0 < 2.0
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"q = {q} is above the cap {MAX_Q} on --q" in captured.err
+
+
+def test_bounds_accepts_largest_prime_below_q_cap(capsys):
+    q = 4294967291  # the largest prime below 2^32
+    assert q < MAX_Q == 2**32
+    rc = main(["bounds", "--n", "13", "--d", "3", "--q", str(q), "--delta", "3", "--kappa", "3"])
+    assert rc == 0
+    assert f"q={q}" in capsys.readouterr().out
 
 
 def test_bounds_accepts_k_equal_to_n_and_prime_power_q(capsys):
@@ -275,3 +298,51 @@ def golden_output(name: str, workdir: Path) -> str:
 def test_golden_output(name, tmp_path):
     expected = (GOLDEN / name).read_text(encoding="utf-8")
     assert golden_output(name, tmp_path) == expected
+
+
+# --- verify_optimality and analyze read the same bound table ---
+
+def _analyze_json(code, delta, workdir, *extra):
+    path = workdir / "code.json"
+    save_code(code, path)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["analyze", str(path), "--delta", str(delta), "--json", *extra]) == 0
+    return json.loads(buf.getvalue())
+
+
+def _assert_same_table(rep, report):
+    assert list(rep.met) == report["optimal"]
+    assert rep.k_bounds == report["k_bounds"]
+    assert rep.d_bounds == report["d_bounds"]
+
+
+@pytest.mark.parametrize("which", EXAMPLE_IDS)
+def test_verify_optimality_matches_analyze_on_examples(which, tmp_path):
+    ex = example_code(which)
+    rep = verify_optimality(ex)  # locality at cap n
+    _assert_same_table(rep, _analyze_json(ex.code, ex.delta, tmp_path, "--cap", str(ex.code.n)))
+    assert "reschain_coarse" in rep.met
+
+
+def _feasible_random_codes():
+    rng = np.random.RandomState(43)
+    out = []
+    for q in (2, 2, 2, 3, 3, 4, 4):
+        while True:
+            code = random_code(rng, q, n_max=9, k_max=4)
+            profile = compute_locality(code, 2)
+            if profile.feasible and code.k >= 2:
+                out.append((code, profile))
+                break
+    return out
+
+
+_RANDOM_CASES = _feasible_random_codes()
+
+
+@pytest.mark.parametrize("code,profile", _RANDOM_CASES,
+                         ids=[f"q{c.q}-n{c.n}-k{c.k}-{i}" for i, (c, _) in enumerate(_RANDOM_CASES)])
+def test_verify_optimality_matches_analyze_on_random_codes(code, profile, tmp_path):
+    rep = verify_optimality(code, 2, profile)  # locality at the default cap, as analyze
+    _assert_same_table(rep, _analyze_json(code, 2, tmp_path))

@@ -1,11 +1,13 @@
 """Core code operators: rank/entropy, closure, restriction, shortening,
 puncturing, exact distance, and the polymatroid/closure laws."""
 
+import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lrckit import (
@@ -22,6 +24,7 @@ from lrckit import (
     shorten,
 )
 from lrckit.code_core import code_rref
+from lrckit.galois import Field
 from lrckit.residual import res_chain, residual
 
 from conftest import random_code, random_subset
@@ -183,6 +186,54 @@ def test_min_weight_codeword_deterministic(simplex32):
     assert w == 4 and len(support) == 4
     # lexicographically smallest message achieving weight 4 is (0, 0, 1)
     assert digits == (0, 0, 1)
+
+
+def _min_weight_oracle(code):
+    """(weight, digits, support) by brute force over messages in lex order,
+    with codewords built from scalar field operations."""
+    fld = code.field
+    best = None
+    for msg in itertools.product(range(code.q), repeat=code.k):
+        if not any(msg):
+            continue
+        cw = []
+        for j in range(code.n):
+            acc = 0
+            for m, g in zip(msg, code.gen[:, j]):
+                acc = int(fld.add(acc, fld.mul(m, int(g))))
+            cw.append(acc)
+        w = sum(1 for v in cw if v)
+        if best is None or w < best[0]:  # strict: the first (lex-smallest) message wins ties
+            best = (w, msg, frozenset(j for j, v in enumerate(cw) if v))
+    return best
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.data())
+def test_min_weight_kernel_matches_oracle(q, data):
+    k = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 7))
+    rows = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+                              min_size=k, max_size=k))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = linear_code(q, rows)
+    assume(code.k >= 1)
+    expected = _min_weight_oracle(code)
+
+    calls = []
+    matmul = Field.matmul
+    Field.matmul = lambda self, A, B: calls.append(1) or matmul(self, A, B)
+    try:
+        d = min_distance(code)
+        enumerated = len(calls)
+        got = min_weight_codeword(code)
+    finally:
+        Field.matmul = matmul
+    assert enumerated >= 1
+    assert len(calls) == enumerated  # the codeword comes from the cached scan
+    assert d == expected[0]
+    assert got == expected
 
 
 # --- polymatroid and closure laws ---
