@@ -272,6 +272,20 @@ GOLDEN_CASES = {
                    "--r", "3", "--k", "10"],
        }.items()
        for ext in ("txt", "json")},
+    # the three figure sets of scripts/emit_figure_curves.py, default curves
+    **{f"asymptotic_fig_{r}_{delta}.csv": [
+        "asymptotic", "--r", str(r), "--delta", str(delta), "--q", "2",
+        "--ropt", "mrrw", "--grid", "256"]
+       for r, delta in ((4, 3), (6, 3), (12, 9))},
+    "asymptotic_plotkin_q3.csv": ["asymptotic", "--r", "5", "--delta", "4", "--q", "3",
+                                  "--ropt", "plotkin", "--bounds", "reschain,cm_rdelta,plotkin",
+                                  "--grid", "256"],
+    "asymptotic_closed_q4.csv": ["asymptotic", "--r", "7", "--delta", "3", "--q", "4",
+                                 "--ropt", "plotkin", "--grid", "512", "--bounds",
+                                 "singleton,gopalan,prakash,abhmt,local_griesmer,plotkin"],
+    "asymptotic_closed_q2_hamming.csv": ["asymptotic", "--r", "6", "--delta", "3", "--q", "2",
+                                         "--lc", "hamming", "--grid", "512", "--bounds",
+                                         "singleton,gopalan,abhmt,mrrw,plotkin"],
 }
 
 
