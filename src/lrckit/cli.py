@@ -40,8 +40,8 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 
-# `bounds` checks that --q is a prime power by trial division up to sqrt(q);
-# at this cap the largest prime below it takes about 10 ms
+# --q is checked to be a prime power by trial division up to sqrt(q); at this
+# cap the largest prime below it takes about 10 ms
 MAX_Q = 1 << 32
 
 
@@ -49,6 +49,14 @@ def _timestamp_line(suppress: bool) -> list[str]:
     if suppress:
         return []
     return [f"generated: {datetime.now(timezone.utc).isoformat(timespec='seconds')}"]
+
+
+def _check_q(q: int) -> None:
+    """Refuse a --q that is not a prime power, the cap first."""
+    if q > MAX_Q:
+        raise ValueError(f"q = {q} is above the cap {MAX_Q} on --q")
+    if len(prime_factorization(q)) != 1:
+        raise ValueError(f"q = {q} is not a prime power")
 
 
 def _fmt_set(coords) -> str:
@@ -160,10 +168,7 @@ def cmd_bounds(args) -> int:
     n, d, q, delta = args.n, args.d, args.q, args.delta
     if args.kappa is None and args.r is None:
         raise ValueError("provide --kappa and/or --r")
-    if q > MAX_Q:
-        raise ValueError(f"q = {q} is above the cap {MAX_Q} on --q")
-    if len(prime_factorization(q)) != 1:
-        raise ValueError(f"q = {q} is not a prime power")
+    _check_q(q)
     if args.k is not None and args.k > n:
         raise ValueError(f"k = {args.k} exceeds n = {n}")
     table = bnd.bound_table(n, d, q, delta, k=args.k, r=args.r, kappa=args.kappa)
@@ -193,6 +198,7 @@ def cmd_asymptotic(args) -> int:
     for name in names:
         if name not in asy.CURVE_NAMES:
             raise ValueError(f"unknown bound {name!r}; choose from {', '.join(asy.CURVE_NAMES)}")
+    _check_q(args.q)
     grid = asy.default_grid(args.grid)
     asy.emit_curves(names, grid, args.r, args.delta, args.q, args.out or sys.stdout,
                     lc_choice=args.lc, ropt_choice=args.ropt)

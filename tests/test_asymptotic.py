@@ -3,10 +3,22 @@ agreement of the composite bound, threshold behavior, and the orderings the
 finite-length comparisons predict."""
 
 import io
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrckit.asymptotic import (
+    GRID_POINTS,
+    MAX_GRID_POINTS,
+    OBJECTIVE_TOL,
+    _optimize_rate,
     binary_entropy,
     curve,
     default_grid,
@@ -194,3 +206,135 @@ def test_emit_curves_to_file(tmp_path):
 def test_unknown_curve_rejected():
     with pytest.raises(ValueError):
         curve("nope", default_grid(4), 4, 3, 2)
+
+
+def test_default_grid_cap():
+    assert len(default_grid(MAX_GRID_POINTS)) == MAX_GRID_POINTS
+    with pytest.raises(ValueError, match=f"above the cap {MAX_GRID_POINTS}"):
+        default_grid(MAX_GRID_POINTS + 1)
+
+
+# --- every curve function over an ndarray equals its values on floats ---
+
+_GRID = default_grid(512)
+
+
+@pytest.mark.parametrize("fn", [
+    binary_entropy,
+    ropt_mrrw,
+    lambda dn: ropt_plotkin(dn, 3),
+    rate_singleton,
+    lambda dn: rate_gopalan(dn, 5),
+    lambda dn: rate_prakash(dn, 6, 3),
+    lambda dn: rate_abhmt(dn, 6, 3, 2, "hamming"),
+    lambda dn: rate_local_griesmer(dn, 12, 9, 2),
+    lambda dn: reschain_plotkin_closed(dn, 3, 3, 2, clamp=False),
+    lambda dn: rate_reschain(dn, 4, 3, 2, "mrrw"),
+    lambda dn: rate_cm_rdelta(dn, 5, 4, 3, "plotkin"),
+], ids=["entropy", "mrrw", "plotkin", "singleton", "gopalan", "prakash", "abhmt",
+        "local_griesmer", "plotkin_closed", "reschain", "cm_rdelta"])
+def test_array_evaluation_matches_floats(fn):
+    on_floats = np.array([fn(float(dn)) for dn in _GRID])
+    on_array = fn(_GRID)
+    assert isinstance(on_array, np.ndarray) and on_array.shape == _GRID.shape
+    # numpy's log2 may differ from math.log2 in the last place; the rest is
+    # the same IEEE arithmetic in the same order
+    assert np.allclose(on_array, on_floats, rtol=4e-16, atol=0.0)
+
+
+def test_array_evaluation_checks_every_entry():
+    with pytest.raises(ValueError, match="relative distance -0.5 below 0"):
+        ropt_mrrw(np.array([0.1, -0.5, 0.2]))
+    with pytest.raises(ValueError, match="outside"):
+        binary_entropy(np.array([0.1, 1.5]))
+
+
+# --- the grid scan against the scalar loop it replaced ---
+#
+# The oracle is the per-point list comprehension over the 1024 grid points,
+# with the scalar math-module base curves.
+
+
+def _entropy_oracle(x):
+    if x == 0.0 or x == 1.0:
+        return 0.0
+    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+
+
+def _clamp01_oracle(x):
+    return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
+
+
+def _mrrw_oracle(dn):
+    if dn >= 0.5:
+        return 0.0
+    return _clamp01_oracle(_entropy_oracle(0.5 - math.sqrt(dn * (1.0 - dn))))
+
+
+def _plotkin_oracle(q):
+    return lambda dn: _clamp01_oracle(1.0 - q / (q - 1) * dn)
+
+
+def _optimize_rate_oracle(nu, delta_n, base):
+    def f(x):
+        rem = 1.0 - x * nu
+        if rem <= 1e-12:
+            return x
+        arg = delta_n / rem
+        return x + rem * (0.0 if arg >= 1.0 else base(arg))
+
+    xs = np.linspace(0.0, 1.0 / nu, GRID_POINTS, endpoint=False)
+    vals = np.array([f(float(x)) for x in xs])
+    i = int(np.argmin(vals))
+    lo = float(xs[max(0, i - 1)])
+    hi = float(xs[i + 1]) if i + 1 < len(xs) else (1.0 / nu) * (1.0 - 1e-12)
+    best = float(vals[i])
+
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - phi * (b - a)
+    d = a + phi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(200):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = f(d)
+        best = min(best, fc, fd)
+        if (b - a) * max(nu, 1.0) < OBJECTIVE_TOL * 1e-3:
+            break
+    return _clamp01_oracle(best)
+
+
+# (base curve, its oracle): MRRW, and Plotkin at q in {2, 3, 4, 5, 7, 8}
+_BASES = [(ropt_mrrw, _mrrw_oracle)] + [
+    ((lambda dn, q=q: ropt_plotkin(dn, q)), _plotkin_oracle(q)) for q in (2, 3, 4, 5, 7, 8)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(nu=st.floats(1.0, 8.0), delta_n=st.floats(0.0, 1.0),
+       which=st.integers(0, len(_BASES) - 1))
+def test_grid_scan_matches_scalar_loop(nu, delta_n, which):
+    base, oracle = _BASES[which]
+    new = _optimize_rate(nu, delta_n, base)
+    assert abs(new - _optimize_rate_oracle(nu, delta_n, oracle)) <= OBJECTIVE_TOL
+
+
+def test_emit_figure_curves_script(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "emit_figure_curves.py"),
+         "--grid", "16", "--out-dir", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("locality_4_3", "locality_6_3", "locality_12_9"):
+        lines = [ln for ln in (tmp_path / f"{name}.csv").read_text().splitlines()
+                 if not ln.startswith("#")]
+        assert lines[0] == "delta_n,prakash,cm_rdelta,abhmt,local_griesmer,reschain"
+        assert len(lines) == 1 + 16

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from lrckit import compute_locality, example_code, save_code, verify_optimality
+from lrckit.asymptotic import MAX_GRID_POINTS
 from lrckit.constructions import EXAMPLE_IDS
 
 from conftest import random_code
@@ -187,6 +188,54 @@ def test_asymptotic_mrrw_nonbinary(capsys):
                "--bounds", "reschain", "--ropt", "mrrw", "--grid", "8"])
     assert rc == 2
     assert "plotkin" in capsys.readouterr().err
+
+
+def _asymptotic_refusal(argv, capsys) -> str:
+    rc = main(["asymptotic", *argv])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+@pytest.mark.parametrize("q", ["1", "6"])
+def test_asymptotic_rejects_non_prime_power_q(q, capsys):
+    err = _asymptotic_refusal(["--r", "4", "--delta", "3", "--q", q, "--ropt", "plotkin",
+                               "--bounds", "reschain,plotkin", "--grid", "8"], capsys)
+    assert f"q = {q} is not a prime power" in err
+
+
+def test_asymptotic_refuses_q_above_cap(capsys):
+    q = 2**61 - 1
+    err = _asymptotic_refusal(["--r", "4", "--delta", "3", "--q", str(q), "--ropt", "plotkin",
+                               "--bounds", "plotkin", "--grid", "8"], capsys)
+    assert f"q = {q} is above the cap {MAX_Q} on --q" in err
+
+
+@pytest.mark.parametrize("r,bound", [("0", "gopalan"), ("-3", "prakash")])
+def test_asymptotic_rejects_r_below_1(r, bound, capsys):
+    err = _asymptotic_refusal(["--r", r, "--delta", "3", "--q", "2", "--bounds", bound,
+                               "--grid", "8"], capsys)
+    assert f"r must be an integer >= 1, got {r}" in err
+
+
+def test_asymptotic_rejects_delta_below_2(capsys):
+    # r + delta - 1 = 0 would divide by zero in the prakash line
+    err = _asymptotic_refusal(["--r", "3", "--delta", "-2", "--q", "2", "--bounds", "prakash",
+                               "--grid", "8"], capsys)
+    assert "delta must be an integer >= 2, got -2" in err
+
+
+def test_asymptotic_rejects_empty_bounds_list(capsys):
+    err = _asymptotic_refusal(["--r", "4", "--delta", "3", "--q", "2", "--bounds", ",,",
+                               "--grid", "8"], capsys)
+    assert "no curves requested" in err
+
+
+def test_asymptotic_refuses_grid_above_cap(capsys):
+    err = _asymptotic_refusal(["--r", "4", "--delta", "3", "--q", "2", "--bounds", "reschain",
+                               "--grid", str(MAX_GRID_POINTS + 1)], capsys)
+    assert f"above the cap {MAX_GRID_POINTS}" in err
 
 
 def test_simplex_command(tmp_path, capsys):
