@@ -12,22 +12,21 @@ coordinates spent on local blocks,
 
 where R_opt is a locality-free rate bound (asymptotic Plotkin, or MRRW for
 binary codes).  The minimization is numeric: a 1024-point grid scan seeds a
-golden-section refinement with objective tolerance 1e-6.  The scan is one
-numpy pass over the 1024 points; the refinement stays scalar (about 30
-sequential steps per point).  Both run the same formulas: each curve
-function is written once against `_xp(x)`, numpy for an ndarray and the
-`math` functions for a float, so every public curve takes delta_n as either.
-`curve` makes one call per curve over the whole delta_n grid, so the
-locality constants (kappa_A, kappa_B, G(kappa_B, delta), nu) are computed
-once per curve, not once per point.  One numeric point costs 0.1-0.25 ms on
-a 2-core x86 container, against 0.4-1 ms for the per-point scalar scan.
+golden-section refinement with objective tolerance 1e-6.  Everything runs in
+numpy, and every public curve takes delta_n as a float (returning a float) or
+as an ndarray.  The scan is one numpy pass over the 1024 points per delta_n;
+the refinement steps all delta_n points of a curve at once, about 30 steps,
+each point stopping at its own tolerance.  `curve` makes one call per curve
+over the whole delta_n grid, so the locality constants (kappa_A, kappa_B,
+G(kappa_B, delta), nu) are computed once per curve, not once per point.  On a
+2-core x86 container one numeric point costs about 0.05 ms with Plotkin and
+0.08 ms with MRRW in a 65536-point curve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -43,54 +42,32 @@ OBJECTIVE_TOL = 1e-6
 ROPT_CHOICES = ("plotkin", "mrrw")
 
 # `default_grid` refuses more delta_n points than this, before allocating;
-# at the cap one numeric curve runs the minimiser 65536 times (9-15 s)
+# at the cap one numeric curve runs 65536 grid scans (3-6 s)
 MAX_GRID_POINTS = 1 << 16
 
-# The elementwise functions the curve formulas call, for an ndarray and for a
-# float.  Each formula is written once against `_xp(x)`: the grid scan passes
-# arrays, and on floats numpy's per-call overhead would cost the scalar
-# refinement steps more than their arithmetic.
-_ARRAY_MATH = SimpleNamespace(
-    sqrt=np.sqrt,
-    log2=np.log2,
-    clip=lambda x, lo, hi: np.minimum(np.maximum(x, lo), hi),
-    where=np.where,
-    min=np.minimum.reduce,
-    max=np.maximum.reduce,
-)
-_FLOAT_MATH = SimpleNamespace(
-    sqrt=math.sqrt,
-    log2=math.log2,
-    clip=lambda x, lo, hi: lo if x < lo else (hi if x > hi else x),
-    where=lambda cond, a, b: a if cond else b,
-    min=lambda x: x,
-    max=lambda x: x,
-)
-
-
-def _xp(x: float | np.ndarray) -> SimpleNamespace:
-    return _ARRAY_MATH if isinstance(x, np.ndarray) else _FLOAT_MATH
+def _float_or_array(v) -> float | np.ndarray:
+    # numpy hands back np.float64 for a float input; the curves return floats
+    return v if isinstance(v, np.ndarray) else float(v)
 
 
 def _clamp01(x: float | np.ndarray) -> float | np.ndarray:
-    return _xp(x).clip(x, 0.0, 1.0)
+    return _float_or_array(np.minimum(np.maximum(x, 0.0), 1.0))
 
 
 def _check_relative_distance(delta_n: float | np.ndarray) -> None:
-    low = _xp(delta_n).min(delta_n)
+    low = np.min(delta_n, initial=0.0)  # 0.0 lets an empty array through
     if low < 0.0:
         raise ValueError(f"relative distance {low} below 0")
 
 
 def binary_entropy(x: float | np.ndarray) -> float | np.ndarray:
     """h(x) = -x log2 x - (1-x) log2(1-x), with h(0) = h(1) = 0 by continuity."""
-    xp = _xp(x)
-    for end in (xp.min(x), xp.max(x)):
+    for end in (np.min(x, initial=0.0), np.max(x, initial=0.0)):
         if end < 0.0 or end > 1.0:
             raise ValueError(f"binary entropy argument {end} outside [0, 1]")
     y = 1.0 - x
     # log2 of 1 in place of log2 of 0 at the ends, so h(0) = h(1) = +0.0
-    return 0.0 - x * xp.log2(x + (x == 0.0)) - y * xp.log2(y + (y == 0.0))
+    return _float_or_array(0.0 - x * np.log2(x + (x == 0.0)) - y * np.log2(y + (y == 0.0)))
 
 
 def ropt_plotkin(delta_n: float | np.ndarray, q: int) -> float | np.ndarray:
@@ -106,10 +83,9 @@ def ropt_mrrw(delta_n: float | np.ndarray) -> float | np.ndarray:
     the Plotkin curve.
     """
     _check_relative_distance(delta_n)
-    xp = _xp(delta_n)
     # from 1/2 on the argument is 1/2 - sqrt(1/4) = 0 exactly, and h(0) = 0
-    m = xp.clip(delta_n, 0.0, 0.5)
-    return _clamp01(binary_entropy(0.5 - xp.sqrt(m * (1.0 - m))))
+    m = np.minimum(np.maximum(delta_n, 0.0), 0.5)
+    return _clamp01(binary_entropy(0.5 - np.sqrt(m * (1.0 - m))))
 
 
 def _base_bound(ropt_choice: str, q: int):
@@ -161,59 +137,61 @@ def reschain_plotkin_closed(delta_n: float | np.ndarray, kappa: int, delta: int,
     return _clamp01(line) if clamp else line
 
 
-def _objective(x: float | np.ndarray, nu: float, delta_n: float,
-               base) -> float | np.ndarray:
+def _objective(x: float | np.ndarray, nu: float, delta_n: float | np.ndarray,
+               base) -> np.ndarray:
     """x + (1 - x nu) base(delta_n / (1 - x nu)); just x where 1 - x nu <= 1e-12
     or where the relative distance of the rest reaches 1."""
-    xp = _xp(x)
     rem = 1.0 - x * nu
     live = rem > 1e-12
-    arg = delta_n / xp.where(live, rem, 1.0)
+    arg = delta_n / np.where(live, rem, 1.0)
     inside = live & (arg < 1.0)
-    return xp.where(inside, x + rem * base(xp.where(inside, arg, 0.0)), x)
+    return np.where(inside, x + rem * base(np.where(inside, arg, 0.0)), x)
 
 
-def _optimize_rate(nu: float, delta_n: float, base) -> float:
-    """min over x in [0, 1/nu) of x + (1 - x nu) base(delta_n / (1 - x nu)).
+def _optimize_rate(nu: float, delta_n: float | np.ndarray, base) -> float | np.ndarray:
+    """min over x in [0, 1/nu) of x + (1 - x nu) base(delta_n / (1 - x nu)),
+    at delta_n or at each entry of an ndarray of them.
 
-    The grid scan is one numpy pass; the golden-section steps run on floats.
+    Each point's grid scan is one numpy pass.  The golden-section refinement
+    then steps every point at once, and a point stops moving at the step where
+    its own bracket passes the stopping test.
     """
+    dns = np.asarray(delta_n, dtype=float)
+    flat = dns.ravel()
+    xs = np.linspace(0.0, 1.0 / nu, GRID_POINTS, endpoint=False)
+    i = np.empty(flat.shape, dtype=np.intp)
+    best = np.empty(flat.shape)
+    for j, dn in enumerate(flat):
+        vals = _objective(xs, nu, dn, base)
+        i[j] = np.argmin(vals)
+        best[j] = vals[i[j]]
+    a = xs[np.maximum(i - 1, 0)]
+    b = np.append(xs[1:], (1.0 / nu) * (1.0 - 1e-12))[i]
 
     def f(x):
-        return _objective(x, nu, delta_n, base)
-
-    xs = np.linspace(0.0, 1.0 / nu, GRID_POINTS, endpoint=False)
-    vals = f(xs)
-    i = int(np.argmin(vals))
-    lo = float(xs[max(0, i - 1)])
-    hi = float(xs[i + 1]) if i + 1 < len(xs) else (1.0 / nu) * (1.0 - 1e-12)
-    best = float(vals[i])
+        return _objective(x, nu, flat, base)
 
     phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
     c = b - phi * (b - a)
     d = a + phi * (b - a)
     fc, fd = f(c), f(d)
+    live = np.ones(flat.shape, dtype=bool)
     for _ in range(200):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-        best = min(best, fc, fd)
-        if (b - a) * max(nu, 1.0) < OBJECTIVE_TOL * 1e-3:
+        # fc < fd: keep [a, d], the old c becomes d and a new c is placed;
+        # otherwise keep [c, b], the old d becomes c and a new d is placed
+        left = fc < fd
+        na, nb = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, nb - phi * (nb - na), na + phi * (nb - na))
+        fx = f(x)
+        step = (na, nb, np.where(left, x, d), np.where(left, c, x),
+                np.where(left, fx, fd), np.where(left, fc, fx))
+        a, b, c, d, fc, fd = (np.where(live, new, old)
+                              for new, old in zip(step, (a, b, c, d, fc, fd)))
+        best = np.minimum(best, np.minimum(fc, fd))
+        live &= (b - a) * max(nu, 1.0) >= OBJECTIVE_TOL * 1e-3
+        if not live.any():
             break
-    return _clamp01(best)
-
-
-def _minimized(nu: float, delta_n: float | np.ndarray, base) -> float | np.ndarray:
-    """`_optimize_rate` at delta_n, or at each entry of an ndarray of them."""
-    if isinstance(delta_n, np.ndarray):
-        return np.array([_optimize_rate(nu, float(dn), base) for dn in delta_n])
-    return _optimize_rate(nu, delta_n, base)
+    return _clamp01(best.reshape(dns.shape))
 
 
 def rate_reschain(delta_n: float | np.ndarray, r: int, delta: int, q: int,
@@ -222,7 +200,7 @@ def rate_reschain(delta_n: float | np.ndarray, r: int, delta: int, q: int,
     base = _base_bound(ropt_choice, q)
     kappa_b = local_dim_bound(r, delta, q)
     nu = griesmer_length(kappa_b, delta, q) / kappa_b
-    return _minimized(nu, delta_n, base)
+    return _optimize_rate(nu, delta_n, base)
 
 
 def rate_cm_rdelta(delta_n: float | np.ndarray, r: int, delta: int, q: int,
@@ -231,7 +209,7 @@ def rate_cm_rdelta(delta_n: float | np.ndarray, r: int, delta: int, q: int,
     minimization with the block overhead nu = (r + delta - 1)/r."""
     base = _base_bound(ropt_choice, q)
     nu = (r + delta - 1) / r
-    return _minimized(nu, delta_n, base)
+    return _optimize_rate(nu, delta_n, base)
 
 
 def improvement_threshold(r: int, delta: int, q: int, choice: str = "best"):
@@ -289,22 +267,22 @@ def curve(name: str, grid, r: int, delta: int, q: int,
     constants are computed once per curve.
     """
     fns = {
-        "singleton": lambda g: rate_singleton(g),
+        "singleton": rate_singleton,
         "gopalan": lambda g: rate_gopalan(g, r),
         "prakash": lambda g: rate_prakash(g, r, delta),
         "abhmt": lambda g: rate_abhmt(g, r, delta, q, lc_choice),
         "local_griesmer": lambda g: rate_local_griesmer(g, r, delta, q),
         "cm_rdelta": lambda g: rate_cm_rdelta(g, r, delta, q, ropt_choice),
         "reschain": lambda g: rate_reschain(g, r, delta, q, ropt_choice),
-        "plotkin": lambda g: ropt_plotkin(g, q),
-        "mrrw": lambda g: ropt_mrrw(g),
     }
-    if name not in fns:
+    if name not in CURVE_NAMES:
         raise ValueError(f"unknown curve {name!r}; choose from {CURVE_NAMES}")
     _check_pos("r", r)
     _check_pos("delta", delta, 2)
+    # the locality-free curves "plotkin" and "mrrw" are the R_opt choices
+    fn = fns[name] if name in fns else _base_bound(name, q)
     grid = np.asarray(grid, dtype=float)
-    rates = tuple(fns[name](grid).tolist())
+    rates = tuple(fn(grid).tolist())
     params = {"r": r, "delta": delta, "q": q,
               "lc_choice": lc_choice, "ropt_choice": ropt_choice}
     return AsymptoticCurve(label=name, params=params, grid=tuple(grid.tolist()),

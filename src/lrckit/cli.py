@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--bounds", default="prakash,cm_rdelta,abhmt,local_griesmer,reschain")
     p.add_argument("--ropt", choices=list(asy.ROPT_CHOICES), default="mrrw")
-    p.add_argument("--lc", choices=["singleton", "hamming", "plotkin", "best"], default="best")
+    p.add_argument("--lc", choices=list(bnd.LOGCONVEX_CHOICES), default="best")
     p.add_argument("--grid", type=int, default=512)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_asymptotic)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrckit.asymptotic import (
+    CURVE_NAMES,
     GRID_POINTS,
     MAX_GRID_POINTS,
     OBJECTIVE_TOL,
@@ -208,6 +209,11 @@ def test_unknown_curve_rejected():
         curve("nope", default_grid(4), 4, 3, 2)
 
 
+@pytest.mark.parametrize("name", CURVE_NAMES)
+def test_empty_grid_gives_no_rates(name):
+    assert curve(name, [], 4, 3, 2).rates == ()
+
+
 def test_default_grid_cap():
     assert len(default_grid(MAX_GRID_POINTS)) == MAX_GRID_POINTS
     with pytest.raises(ValueError, match=f"above the cap {MAX_GRID_POINTS}"):
@@ -237,9 +243,30 @@ def test_array_evaluation_matches_floats(fn):
     on_floats = np.array([fn(float(dn)) for dn in _GRID])
     on_array = fn(_GRID)
     assert isinstance(on_array, np.ndarray) and on_array.shape == _GRID.shape
-    # numpy's log2 may differ from math.log2 in the last place; the rest is
-    # the same IEEE arithmetic in the same order
+    # both call the same numpy functions in the same order; the tolerance
+    # leaves room for a numpy build whose vector loops round a lone scalar
+    # differently in the last place
     assert np.allclose(on_array, on_floats, rtol=4e-16, atol=0.0)
+
+
+@pytest.mark.parametrize("fn", [
+    binary_entropy,
+    ropt_mrrw,
+    lambda dn: ropt_plotkin(dn, 3),
+    rate_singleton,
+    lambda dn: rate_gopalan(dn, 5),
+    lambda dn: rate_prakash(dn, 6, 3),
+    lambda dn: rate_abhmt(dn, 6, 3, 2, "hamming"),
+    lambda dn: rate_local_griesmer(dn, 12, 9, 2),
+    lambda dn: reschain_plotkin_closed(dn, 3, 3, 2),
+    lambda dn: reschain_plotkin_closed(dn, 3, 3, 2, clamp=False),
+    lambda dn: rate_reschain(dn, 4, 3, 2, "mrrw"),
+    lambda dn: rate_cm_rdelta(dn, 5, 4, 3, "plotkin"),
+], ids=["entropy", "mrrw", "plotkin", "singleton", "gopalan", "prakash", "abhmt",
+        "local_griesmer", "plotkin_closed", "plotkin_closed_raw", "reschain", "cm_rdelta"])
+@pytest.mark.parametrize("delta_n", [0.0, 0.3, 1.0])
+def test_float_input_gives_python_float(fn, delta_n):
+    assert type(fn(delta_n)) is float
 
 
 def test_array_evaluation_checks_every_entry():
@@ -322,6 +349,37 @@ def test_grid_scan_matches_scalar_loop(nu, delta_n, which):
     base, oracle = _BASES[which]
     new = _optimize_rate(nu, delta_n, base)
     assert abs(new - _optimize_rate_oracle(nu, delta_n, oracle)) <= OBJECTIVE_TOL
+
+
+# where each of _BASES reaches 0: MRRW at 1/2, Plotkin at (q - 1)/q
+_ZERO_FROM = (0.5,) + tuple((q - 1) / q for q in (2, 3, 4, 5, 7, 8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(nu=st.floats(1.0, 8.0), u=st.floats(0.01, 0.99),
+       rest=st.lists(st.floats(0.0, 1.0), max_size=4),
+       which=st.integers(0, len(_BASES) - 1))
+def test_points_refined_together_match_one_at_a_time(nu, u, rest, which):
+    """The grid argmin is at index 0 for delta_n = 1 and for the kink point,
+    at the last index for delta_n = 0 (nu > 1), mostly inside for the rest.
+    Index 0 has a bracket half as wide, so those points stop a step or two
+    before the others; at a Plotkin kink point the refinement is still
+    lowering the minimum then, so running on would change it."""
+    base, oracle = _BASES[which]
+    # the objective's minimum is at x = u/(nu^2 GRID_POINTS), in the first cell
+    kink = _ZERO_FROM[which] * (1.0 - u / (nu * GRID_POINTS))
+    delta_ns = [0.0, 1.0, kink, *rest]
+    together = _optimize_rate(nu, np.array(delta_ns), base)
+    alone = np.array([_optimize_rate(nu, dn, base) for dn in delta_ns])
+    assert np.allclose(together, alone, rtol=4e-16, atol=0.0)
+    for dn, value in zip(delta_ns, together):
+        assert abs(value - _optimize_rate_oracle(nu, dn, oracle)) <= OBJECTIVE_TOL
+
+
+def test_mrrw_curve_requires_binary():
+    assert curve("mrrw", default_grid(5), 4, 3, 2).rates[1] == ropt_mrrw(0.25)
+    with pytest.raises(ValueError, match="q = 2 only"):
+        curve("mrrw", default_grid(5), 4, 3, 3)
 
 
 def test_emit_figure_curves_script(tmp_path):

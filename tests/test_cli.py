@@ -232,6 +232,13 @@ def test_asymptotic_rejects_empty_bounds_list(capsys):
     assert "no curves requested" in err
 
 
+def test_asymptotic_mrrw_curve_nonbinary(capsys):
+    # the mrrw column is the binary MRRW bound, not a bound for ternary codes
+    err = _asymptotic_refusal(["--r", "4", "--delta", "3", "--q", "3",
+                               "--bounds", "mrrw,plotkin", "--grid", "5"], capsys)
+    assert "MRRW is defined for q = 2 only" in err
+
+
 def test_asymptotic_refuses_grid_above_cap(capsys):
     err = _asymptotic_refusal(["--r", "4", "--delta", "3", "--q", "2", "--bounds", "reschain",
                                "--grid", str(MAX_GRID_POINTS + 1)], capsys)
