@@ -298,8 +298,8 @@ def test_verify_paper_passes(capsys):
 
 # --- byte-exact golden output ---
 #
-# tests/golden/ holds the exact stdout of `analyze` and `bounds` for fixed
-# inputs.  Any refactor of the report code must reproduce it byte for byte;
+# tests/golden/ holds the exact stdout of `analyze`, `bounds`, `asymptotic`,
+# `build-set` and `simplex` for fixed inputs.  Any refactor of the report code must reproduce it byte for byte;
 # a deliberate output change rewrites the affected files in the same change.
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -342,6 +342,22 @@ GOLDEN_CASES = {
     "asymptotic_closed_q2_hamming.csv": ["asymptotic", "--r", "6", "--delta", "3", "--q", "2",
                                          "--lc", "hamming", "--grid", "512", "--bounds",
                                          "singleton,gopalan,abhmt,mrrw,plotkin"],
+    # build-set on the declared repair sets.  lambda mod kappa > 0 in every
+    # case, so the b > 0 start runs: a starting-set reschain-correction, or at
+    # ex2_restart the lower-kappa round.  The rounds add absorb-repair-set and
+    # reschain-correction steps.
+    **{f"build_set_{name}.{ext}": [
+        "build-set", "--code", code, "--delta", "3", "--kappa", kappa, "--lambda", lam,
+        *(["--json"] if ext == "json" else ["--no-timestamp"])]
+       for name, (code, kappa, lam) in {
+           "ex1": ("ex1.json", "3", "4"),
+           "ex2": ("ex2.json", "4", "5"),
+           "ex2_restart": ("ex2.json", "5", "4"),
+           "ex3": ("ex3.json", "2", "3"),
+       }.items()
+       for ext in ("txt", "json")},
+    "simplex_3_2.txt": ["simplex", "--m", "3", "--q", "2"],
+    "simplex_3_3.txt": ["simplex", "--m", "3", "--q", "3"],
 }
 
 
