@@ -2,6 +2,15 @@
 restriction/shortening/puncturing operators, and exact minimum distance by
 exhaustive codeword enumeration.
 
+Costs.  `rref` eliminates one pivot at a time, clearing the pivot column
+from all other rows in one table lookup per pivot, so its Python-level work
+is one step per pivot, not one per row.  `entropy` memoises H(I) per code in
+``LinearCode._cache``, keyed by the sorted coordinates, and keeps at most
+ENTROPY_MEMO_CAP sets (the set construction asks for the same few hundred
+sets thousands of times).  Enumeration runs in message blocks of at most
+BLOCK_MESSAGES messages and BLOCK_CELLS message x coordinate cells, so its
+memory stays bounded as n grows.
+
 Coordinates are 0-based throughout this module and the rest of the library.
 JSON files and CLI reports use 1-based coordinates; the converters at the
 bottom handle the translation.
@@ -26,6 +35,13 @@ from .galois import Field, field_new
 CoordSet = frozenset  # of int, 0-based
 
 DEFAULT_ENUM_CAP = 1 << 24
+# codeword enumeration works in blocks of at most this many messages, and of
+# at most BLOCK_CELLS message x coordinate cells, so a block's int64 product
+# stays near 16 MB whatever n is
+BLOCK_MESSAGES = 1 << 13
+BLOCK_CELLS = 1 << 21
+# entropy() remembers at most this many coordinate sets per code
+ENTROPY_MEMO_CAP = 4096
 
 
 class CodeFormatError(ValueError):
@@ -72,6 +88,7 @@ def rref(mat: np.ndarray, fld: Field, pivot_cols: Sequence[int] | None = None):
     pivot_cols, when given, fixes the order in which columns are searched for
     pivots (remaining columns follow in ascending order).  Returns
     (R, pivots) where pivots lists the pivot columns; rank = len(pivots).
+    Each pivot clears its column from every other row in one table lookup.
     """
     R = np.array(mat, dtype=np.int16)
     if R.ndim != 2:
@@ -83,34 +100,26 @@ def rref(mat: np.ndarray, fld: Field, pivot_cols: Sequence[int] | None = None):
         head = list(pivot_cols)
         seen = set(head)
         order = head + [c for c in range(cols) if c not in seen]
+    add, mul, neg = fld.add_table, fld.mul_table, fld.neg_table
     pivots: list[int] = []
     r = 0
     for c in order:
         if r == rows:
             break
-        hit = -1
-        for i in range(r, rows):
-            if R[i, c] != 0:
-                hit = i
-                break
-        if hit < 0:
+        hits = R[r:, c].nonzero()[0]
+        if hits.size == 0:
             continue
+        hit = r + int(hits[0])
         if hit != r:
             R[[r, hit]] = R[[hit, r]]
-        pivot_inv = int(fld.inv(int(R[r, c])))
-        R[r] = fld.mul(pivot_inv, R[r])
-        for i in range(rows):
-            if i != r and R[i, c] != 0:
-                R[i] = fld.sub(R[i], fld.mul(int(R[i, c]), R[r]))
+        R[r] = mul[fld.inv_table[R[r, c]], R[r]]  # R[r, c] != 0: no zero check needed
+        f = R[:, c].copy()
+        f[r] = 0
+        if f.any():
+            R = add[R, neg[mul[f[:, None], R[r][None, :]]]]
         pivots.append(c)
         r += 1
     return R, pivots
-
-
-def code_rref(code: LinearCode):
-    """RREF of the generator matrix; returns (matrix, rank)."""
-    R, pivots = rref(code.gen, code.field)
-    return R, len(pivots)
 
 
 def linear_code(q: int | Field, rows, declared_k: int | None = None) -> LinearCode:
@@ -153,12 +162,22 @@ def _sorted_coords(code: LinearCode, I) -> list[int]:
 
 
 def entropy(code: LinearCode, I) -> int:
-    """H(I): rank of the generator columns indexed by I (0 <= H <= min(|I|, k))."""
-    cols = _sorted_coords(code, I)
-    if not cols:
+    """H(I): rank of the generator columns indexed by I (0 <= H <= min(|I|, k)).
+
+    Memoised per code on the sorted coordinates; the memo keeps the latest
+    ENTROPY_MEMO_CAP sets.
+    """
+    key = tuple(_sorted_coords(code, I))
+    if not key:
         return 0
-    _, pivots = rref(code.gen[:, cols], code.field)
-    return len(pivots)
+    memo = code._cache.setdefault("entropy", {})
+    h = memo.get(key)
+    if h is None:
+        h = len(rref(code.gen[:, list(key)], code.field)[1])
+        if len(memo) >= ENTROPY_MEMO_CAP:
+            del memo[next(iter(memo))]  # oldest first
+        memo[key] = h
+    return h
 
 
 def closure(code: LinearCode, I) -> CoordSet:
@@ -218,8 +237,9 @@ def puncture(code: LinearCode, I) -> LinearCode:
     return restrict(code, rest)
 
 
-def _message_blocks(code: LinearCode, max_words: int, block: int = 1 << 13):
+def _message_blocks(code: LinearCode, max_words: int):
     q, k = code.q, code.k
+    block = min(BLOCK_MESSAGES, max(1, BLOCK_CELLS // code.n))
     total = q**k
     if total > max_words:
         raise ValueError(

@@ -15,7 +15,7 @@ from lrckit.asymptotic import MAX_GRID_POINTS
 from lrckit.constructions import EXAMPLE_IDS
 
 from conftest import random_code
-from lrckit.cli import MAX_Q, main
+from lrckit.cli import MAX_Q, MAX_SIMPLEX_CELLS, main
 
 
 @pytest.fixture()
@@ -252,6 +252,25 @@ def test_simplex_command(tmp_path, capsys):
     assert "S(3,2): [7, 3, 4] over GF(2)" in capsys.readouterr().out
     data = json.loads(out_file.read_text())
     assert (data["n"], data["k"]) == (7, 3)
+
+
+@pytest.mark.parametrize("m,q", [(15, 2), (20, 2), (25, 2), (4, 256), (10**9, 3)])
+def test_simplex_refuses_above_cell_cap_before_building(m, q, capsys):
+    t0 = time.perf_counter()
+    rc = main(["simplex", "--m", str(m), "--q", str(q)])
+    assert time.perf_counter() - t0 < 2.0
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"S({m},{q}) needs q^m * n codeword cells" in captured.err
+    assert f"above the cap {MAX_SIMPLEX_CELLS}" in captured.err
+
+
+@pytest.mark.parametrize("m,q,message", [(0, 2, "m must be >= 1"), (3, 6, "not a prime power"),
+                                         (3, 300, "outside supported range")])
+def test_simplex_bad_m_or_q(m, q, message, capsys):
+    assert main(["simplex", "--m", str(m), "--q", str(q)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_build_set_command(ex3_file, capsys):

@@ -23,8 +23,8 @@ from lrckit import (
     save_code,
     shorten,
 )
-from lrckit.code_core import code_rref
-from lrckit.galois import Field
+from lrckit.code_core import BLOCK_CELLS, BLOCK_MESSAGES, ENTROPY_MEMO_CAP, rref
+from lrckit.galois import Field, field_new
 from lrckit.residual import res_chain, residual
 
 from conftest import random_code, random_subset
@@ -32,8 +32,8 @@ from conftest import random_code, random_subset
 
 def test_rref_identity_fixed_point():
     code = linear_code(2, np.eye(4, dtype=int))
-    R, rank = code_rref(code)
-    assert rank == 4
+    R, pivots = rref(code.gen, code.field)
+    assert len(pivots) == 4
     assert np.array_equal(R, np.eye(4, dtype=int))
 
 
@@ -44,8 +44,74 @@ def test_rref_zero_row_does_not_change_rank():
 
 
 def test_rref_example_generator_rank(ex1):
-    _, rank = code_rref(ex1.code)
-    assert rank == 4
+    _, pivots = rref(ex1.code.gen, ex1.code.field)
+    assert len(pivots) == 4
+
+
+def _rref_oracle(mat, fld, pivot_cols=None):
+    """Reduced row-echelon form by row-by-row elimination, one table
+    operation per row per pivot: the reference for `rref`."""
+    R = np.array(mat, dtype=np.int16)
+    rows, cols = R.shape
+    if pivot_cols is None:
+        order = range(cols)
+    else:
+        head = list(pivot_cols)
+        seen = set(head)
+        order = head + [c for c in range(cols) if c not in seen]
+    pivots = []
+    r = 0
+    for c in order:
+        if r == rows:
+            break
+        hit = -1
+        for i in range(r, rows):
+            if R[i, c] != 0:
+                hit = i
+                break
+        if hit < 0:
+            continue
+        if hit != r:
+            R[[r, hit]] = R[[hit, r]]
+        pivot_inv = int(fld.inv(int(R[r, c])))
+        R[r] = fld.mul(pivot_inv, R[r])
+        for i in range(rows):
+            if i != r and R[i, c] != 0:
+                R[i] = fld.sub(R[i], fld.mul(int(R[i, c]), R[r]))
+        pivots.append(c)
+        r += 1
+    return R, pivots
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.sampled_from([2, 3, 4, 5, 8, 9]), st.data())
+def test_rref_matches_loop_oracle(q, data):
+    """Random matrices with zero rows, repeated rows and scalar multiples of
+    earlier rows, under a pivot order that may be partial, permuted and
+    repeat columns."""
+    fld = field_new(q)
+    n_rows = data.draw(st.integers(1, 12))
+    n_cols = data.draw(st.integers(1, 40))
+    mat = []
+    for i in range(n_rows):
+        kind = data.draw(st.sampled_from(("random", "zero", "repeat", "multiple")
+                                         if mat else ("random", "zero")))
+        if kind == "random":
+            row = data.draw(st.lists(st.integers(0, q - 1), min_size=n_cols, max_size=n_cols))
+        elif kind == "zero":
+            row = [0] * n_cols
+        else:
+            row = mat[data.draw(st.integers(0, len(mat) - 1))]
+            if kind == "multiple":
+                row = [int(fld.mul(data.draw(st.integers(1, q - 1)), v)) for v in row]
+        mat.append(list(row))
+    pivot_cols = data.draw(st.none() | st.lists(st.integers(0, n_cols - 1),
+                                                max_size=n_cols + 3))
+    R, pivots = rref(np.array(mat), fld, pivot_cols)
+    R_ref, pivots_ref = _rref_oracle(np.array(mat), fld, pivot_cols)
+    assert R.dtype == R_ref.dtype == np.int16
+    assert np.array_equal(R, R_ref)
+    assert pivots == pivots_ref
 
 
 def test_entropy_empty_and_full(ex1):
@@ -60,6 +126,46 @@ def test_entropy_repair_set(ex1):
 def test_entropy_out_of_range(ex1):
     with pytest.raises(ValueError):
         entropy(ex1.code, {10})
+
+
+def test_entropy_memo_any_order_or_iterable():
+    rng = np.random.RandomState(41)
+    for q in (2, 3, 4):
+        code = random_code(rng, q, n_max=12, k_max=5)
+        for _ in range(30):
+            I = sorted(random_subset(rng, code.n))
+            want = len(rref(code.gen[:, I], code.field)[1]) if I else 0
+            forms = (I, I[::-1], tuple(I), set(I), frozenset(I), iter(I),
+                     (i for i in reversed(I)), np.array(I, dtype=np.int64),
+                     dict.fromkeys(I), I + I)
+            for form in forms:
+                assert entropy(code, form) == want
+
+
+def test_entropy_memo_still_checks_range():
+    code = linear_code(3, [[1, 0, 1, 2], [0, 1, 1, 1]])
+    assert entropy(code, {0, 1}) == 2
+    for bad in ({0, 1, 4}, [1, 0, -1], (4,), {-1}):
+        with pytest.raises(ValueError, match="out of range"):
+            entropy(code, bad)
+    assert all(0 <= min(key) and max(key) < code.n for key in code._cache["entropy"])
+
+
+def test_entropy_memo_is_bounded():
+    """Every nonempty subset of a 13-coordinate code: 8191 sets, about twice
+    the memo bound, so the oldest entries are evicted and recomputed."""
+    rng = np.random.RandomState(47)
+    code = linear_code(2, rng.randint(0, 2, size=(5, 13)))
+    subsets = [c for s in range(1, 14) for c in itertools.combinations(range(13), s)]
+    assert len(subsets) > ENTROPY_MEMO_CAP
+    for t, I in enumerate(subsets):
+        h = entropy(code, I)
+        if t % 16 == 0:
+            assert h == len(rref(code.gen[:, list(I)], code.field)[1])
+        assert len(code._cache["entropy"]) <= ENTROPY_MEMO_CAP
+    assert len(code._cache["entropy"]) == ENTROPY_MEMO_CAP
+    for I in subsets[:50]:  # evicted by now
+        assert entropy(code, I) == len(rref(code.gen[:, list(I)], code.field)[1])
 
 
 def test_closure_empty_is_zero_columns():
@@ -190,21 +296,19 @@ def test_min_weight_codeword_deterministic(simplex32):
 
 def _min_weight_oracle(code):
     """(weight, digits, support) by brute force over messages in lex order,
-    with codewords built from scalar field operations."""
+    each codeword summed row by row with the field tables."""
     fld = code.field
     best = None
     for msg in itertools.product(range(code.q), repeat=code.k):
         if not any(msg):
             continue
-        cw = []
-        for j in range(code.n):
-            acc = 0
-            for m, g in zip(msg, code.gen[:, j]):
-                acc = int(fld.add(acc, fld.mul(m, int(g))))
-            cw.append(acc)
-        w = sum(1 for v in cw if v)
+        cw = np.zeros(code.n, dtype=np.int16)
+        for m, row in zip(msg, code.gen):
+            if m:
+                cw = fld.add(cw, fld.mul(m, row))
+        w = int(np.count_nonzero(cw))
         if best is None or w < best[0]:  # strict: the first (lex-smallest) message wins ties
-            best = (w, msg, frozenset(j for j, v in enumerate(cw) if v))
+            best = (w, msg, frozenset(int(j) for j in np.nonzero(cw)[0]))
     return best
 
 
@@ -234,6 +338,46 @@ def test_min_weight_kernel_matches_oracle(q, data):
     assert len(calls) == enumerated  # the codeword comes from the cached scan
     assert d == expected[0]
     assert got == expected
+
+
+def _long_binary_code():
+    """Binary [1100, 12] whose minimum weight 3 is first reached by message
+    index 2048 (row 0 alone) and again by the last message 4095 (all rows),
+    so the tie spans two enumeration blocks."""
+    rng = np.random.RandomState(53)
+    n = 1100
+    gen = np.zeros((12, n), dtype=np.int64)
+    gen[0, :3] = 1
+    gen[1:11] = rng.randint(0, 2, size=(10, n))
+    t = np.zeros(n, dtype=np.int64)
+    t[:6] = 1
+    gen[11] = (gen[1:11].sum(axis=0) + t) % 2  # rows 0..11 sum to e_3 + e_4 + e_5
+    return linear_code(2, gen)
+
+
+def _long_ternary_code():
+    rng = np.random.RandomState(59)
+    return linear_code(3, rng.randint(0, 3, size=(8, 1100)))
+
+
+@pytest.mark.parametrize("make", [_long_binary_code, _long_ternary_code])
+def test_min_weight_scan_spans_capped_blocks(make):
+    code = make()
+    block = min(BLOCK_MESSAGES, BLOCK_CELLS // code.n)
+    n_blocks = -(-code.q**code.k // block)
+    assert n_blocks >= 3
+    shapes = []
+    matmul = Field.matmul
+    Field.matmul = lambda self, A, B: shapes.append(np.shape(A)) or matmul(self, A, B)
+    try:
+        got = min_weight_codeword(code)
+    finally:
+        Field.matmul = matmul
+    assert len(shapes) == n_blocks
+    assert all(rows * code.n <= BLOCK_CELLS for rows, _ in shapes)
+    assert got == _min_weight_oracle(code)
+    if code.q == 2:
+        assert got[:2] == (3, (1,) + (0,) * 11)  # index 2048, not the tie at 4095
 
 
 # --- polymatroid and closure laws ---
