@@ -72,8 +72,10 @@ def _fmt_set(coords) -> str:
 def cmd_analyze(args) -> int:
     code, declared_sets = load_code(args.file)
     delta = args.delta
-    d = min_distance(code)
+    # the locality search checks its arguments and costs before enumerating,
+    # and its codeword table then serves min_distance
     profile = compute_locality(code, delta, size_cap=args.cap)
+    d = min_distance(code)
 
     report: dict = {
         "file": str(args.file),

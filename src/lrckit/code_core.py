@@ -257,17 +257,24 @@ def _min_weight_scan(code: LinearCode, max_words: int) -> tuple[int, int]:
     """(minimum nonzero weight, index of the lex-smallest message attaining it).
 
     The one enumeration behind `min_distance` and `min_weight_codeword`;
-    the result is cached on the code, so the second of them is free.
+    the result is cached on the code, so the second of them is free.  When
+    `codeword_matrix` has already built the code's table, the weights are
+    read from it instead of enumerating again.
     """
     if code.k == 0:
         raise ValueError("zero-dimensional code has no nonzero codeword")
     cached = code._cache.get("min_weight")
     if cached is not None:
         return cached
+    table = code._cache.get("codeword_matrix")
+    if table is not None:
+        weights = [(0, np.count_nonzero(table, axis=1))]
+    else:  # each block's codewords are dropped as soon as they are counted
+        weights = ((start, np.count_nonzero(code.field.matmul(digits, code.gen), axis=1))
+                   for start, digits in _message_blocks(code, max_words))
     best_w = code.n + 1
     best_idx = -1
-    for start, digits in _message_blocks(code, max_words):
-        w = np.count_nonzero(code.field.matmul(digits, code.gen), axis=1)
+    for start, w in weights:
         if start == 0:
             w[0] = code.n + 2  # mask the zero message
         block_min = int(w.min())

@@ -11,10 +11,21 @@ distances (brute force, never estimated):
 
 `compute_locality` searches subsets exhaustively up to a size cap and
 returns the minimal feasible r and kappa with per-coordinate witnesses.
+
+Cost.  The search reads restricted weights from the q^k codeword table
+(q^k <= SEARCH_WORD_CAP), packed as one bitset over codewords per
+coordinate.  It visits the subsets level by level in size, each level in lex
+order and in chunks whose working arrays hold about CHUNK_BYTES, so a chunk
+costs a few dozen numpy passes whatever its row count.  Every level from
+delta up to the cap is visited: a larger set can still hold a lex-smaller
+entropy witness.  The total, sum of C(n, s) over delta <= s <= cap, is
+checked up front against SEARCH_SUBSET_CAP.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +39,10 @@ from .code_core import (
 )
 
 SEARCH_WORD_CAP = 1 << 16
+# the scan refuses to visit more subsets than this in total (sizes delta..cap)
+SEARCH_SUBSET_CAP = 1 << 25
+# each working array of the level scan holds about this many bytes
+CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -88,50 +103,97 @@ class LocalityProfile:
         return tuple(frozenset(t) for t in sorted(unique))
 
 
+def _packed_support(code: LinearCode) -> np.ndarray:
+    """The codeword table's nonzero pattern as one bitset per coordinate.
+
+    Row j holds bit c set when codeword c is nonzero at j, packed little-end
+    first into ceil(q^k / 64) uint64 words; the padding bits past q^k are 0.
+    """
+    nz = codeword_matrix(code, max_words=SEARCH_WORD_CAP) != 0
+    packed = np.packbits(nz.T, axis=1, bitorder="little")
+    pad = -packed.shape[1] % 8
+    if pad:
+        packed = np.pad(packed, ((0, 0), (0, pad)))
+    return np.ascontiguousarray(packed).view(np.uint64)
+
+
 def _scan_repair_sets(code: LinearCode, delta: int, cap: int):
-    """One exhaustive pass over subsets of [n] with size <= cap.
+    """One exhaustive pass over subsets of [n] with delta <= size <= cap.
 
     For every coordinate i, tracks the valid repair set minimizing
     (size, lex) and the one minimizing (entropy, lex).  Validity and entropy
-    come from the precomputed codeword table: on a subset S, the number of
-    codewords vanishing on S is q^(k - H(S)), and the minimum nonzero
-    restricted weight is the exact distance of the restriction.
+    come from the codeword table: on a subset S, the number of codewords
+    vanishing on S is q^(k - H(S)), and S is a valid repair set iff H(S) > 0
+    and no codeword has restricted weight in [1, delta - 1].
+
+    The subsets of each size s are scanned in lex order, in chunks of about
+    CHUNK_BYTES per working array.  For a chunk, bit-sliced saturating
+    counters ge[t] (t = 1..delta) over the packed table mark the codewords
+    whose restricted weight is >= t, built by OR/AND over the s columns.
+    Within a level the first valid subset holding i is its size witness and
+    the valid subset minimizing (entropy, lex rank) its entropy witness;
+    levels fold together on the (size, tuple) and (entropy, tuple) keys, so
+    a larger set with a lex-smaller tuple still wins an entropy tie.
     """
     n, k, q = code.n, code.k, code.q
-    nz = codeword_matrix(code, max_words=SEARCH_WORD_CAP) != 0
-    col_weight = [np.ascontiguousarray(nz[:, j], dtype=np.int32) for j in range(n)]
-    entropy_of_zero_count = {q**j: k - j for j in range(k + 1)}
+    bits = _packed_support(code)
+    words = bits.shape[1]
+    chunk = max(1, CHUNK_BYTES // (8 * words))
+    powers = q ** np.arange(k + 1, dtype=np.int64)
+    none = np.iinfo(np.int64).max
+    coord_type = np.min_scalar_type(n - 1)
 
     best_size: list = [None] * n
     best_ent: list = [None] * n
-    w = np.zeros(q**k, dtype=np.int32)
-    stack: list[int] = []
-
-    def dfs(start: int) -> None:
-        nonlocal w
-        for j in range(start, n):
-            w += col_weight[j]
-            stack.append(j)
-            if len(stack) >= delta:
-                zeros = int(np.count_nonzero(w == 0))
-                h = entropy_of_zero_count[zeros]
-                if h > 0:
-                    dmin = int(w[w != 0].min())
-                    if dmin >= delta:
-                        tup = tuple(stack)
-                        size_key = (len(tup), tup)
-                        ent_key = (h, tup)
-                        for i in tup:
-                            if best_size[i] is None or size_key < best_size[i]:
-                                best_size[i] = size_key
-                            if best_ent[i] is None or ent_key < best_ent[i]:
-                                best_ent[i] = ent_key
-            if len(stack) < cap:
-                dfs(j + 1)
-            stack.pop()
-            w -= col_weight[j]
-
-    dfs(0)
+    for s in range(delta, cap + 1):
+        combos = itertools.combinations(range(n), s)
+        level_size = np.full(n, none, dtype=np.int64)  # lex rank of the first valid set
+        level_ent = np.full(n, none, dtype=np.int64)  # entropy * rank_span + lex rank
+        size_tup: list = [None] * n
+        ent_tup: list = [None] * n
+        rank_span = math.comb(n, s)
+        first = 0
+        while True:
+            flat = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, chunk)),
+                               dtype=coord_type)
+            if not flat.size:
+                break
+            subsets = flat.reshape(-1, s)
+            rows = subsets.shape[0]
+            ge = [None] + [np.zeros((rows, words), dtype=np.uint64) for _ in range(delta)]
+            col = np.empty((rows, words), dtype=np.uint64)
+            step = np.empty((rows, words), dtype=np.uint64)
+            for p in range(s):
+                np.take(bits, subsets[:, p], axis=0, out=col)
+                for t in range(min(p + 1, delta), 1, -1):
+                    np.bitwise_and(ge[t - 1], col, out=step)
+                    np.bitwise_or(ge[t], step, out=ge[t])
+                np.bitwise_or(ge[1], col, out=ge[1])
+            zeros = q**k - np.bitwise_count(ge[1]).sum(axis=1, dtype=np.int64)
+            h = k - np.searchsorted(powers, zeros)
+            np.bitwise_and(ge[1], np.bitwise_not(ge[delta], out=step), out=step)
+            valid = (h > 0) & ~step.any(axis=1)
+            hit = np.flatnonzero(valid)
+            if hit.size:
+                rank = first + hit
+                ent_rank = h[hit] * rank_span + rank
+                old_size, old_ent = level_size.copy(), level_ent.copy()
+                for p in range(s):
+                    np.minimum.at(level_size, subsets[hit, p], rank)
+                    np.minimum.at(level_ent, subsets[hit, p], ent_rank)
+                for i in np.flatnonzero(level_size < old_size):
+                    size_tup[i] = tuple(int(j) for j in subsets[level_size[i] - first])
+                for i in np.flatnonzero(level_ent < old_ent):
+                    ent_tup[i] = tuple(int(j) for j in subsets[level_ent[i] % rank_span - first])
+            first += rows
+        for i in range(n):
+            if size_tup[i] is not None:
+                size_key = (s, size_tup[i])
+                if best_size[i] is None or size_key < best_size[i]:
+                    best_size[i] = size_key
+                ent_key = (int(level_ent[i] // rank_span), ent_tup[i])
+                if best_ent[i] is None or ent_key < best_ent[i]:
+                    best_ent[i] = ent_key
     return best_size, best_ent
 
 
@@ -140,7 +202,9 @@ def compute_locality(code: LinearCode, delta: int, size_cap: int | None = None) 
 
     The default cap min(n, delta + k) keeps the search at desk scale; pass
     size_cap explicitly (up to n) when repair sets larger than delta + k may
-    be needed — the profile records whether the cap was binding.
+    be needed — the profile records whether the cap was binding.  Every
+    argument is checked before any enumeration: delta, the cap, q^k against
+    SEARCH_WORD_CAP and the subset count against SEARCH_SUBSET_CAP.
     """
     if delta < 2:
         raise ValueError(f"delta must be >= 2, got {delta}")
@@ -153,6 +217,12 @@ def compute_locality(code: LinearCode, delta: int, size_cap: int | None = None) 
         raise ValueError(
             f"locality search enumerates q^k = {code.q**code.k} codewords, above "
             f"the cap {SEARCH_WORD_CAP}"
+        )
+    subsets = sum(math.comb(code.n, s) for s in range(delta, cap + 1))
+    if subsets > SEARCH_SUBSET_CAP:
+        raise ValueError(
+            f"locality search visits {subsets} subsets of sizes {delta} to {cap}, above "
+            f"the cap {SEARCH_SUBSET_CAP}; pass a smaller size cap"
         )
 
     best_size, best_ent = _scan_repair_sets(code, delta, cap)

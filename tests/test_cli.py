@@ -10,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lrckit import compute_locality, example_code, save_code, verify_optimality
+from lrckit import compute_locality, example_code, linear_code, save_code, verify_optimality
 from lrckit.asymptotic import MAX_GRID_POINTS
 from lrckit.constructions import EXAMPLE_IDS
+from lrckit.locality import SEARCH_SUBSET_CAP, SEARCH_WORD_CAP
 
 from conftest import random_code
 from lrckit.cli import MAX_Q, MAX_SIMPLEX_CELLS, main
@@ -264,6 +265,30 @@ def test_simplex_refuses_above_cell_cap_before_building(m, q, capsys):
     assert captured.out == ""
     assert f"S({m},{q}) needs q^m * n codeword cells" in captured.err
     assert f"above the cap {MAX_SIMPLEX_CELLS}" in captured.err
+
+
+def _binary_code_file(tmp_path, k, n, seed):
+    rng = np.random.RandomState(seed)
+    gen = np.hstack([np.eye(k, dtype=int), rng.randint(0, 2, size=(k, n - k))])
+    path = tmp_path / f"b{n}_{k}.json"
+    save_code(linear_code(2, gen), path)
+    return path
+
+
+@pytest.mark.parametrize("k,n,delta,message", [
+    (21, 40, 1, "delta must be >= 2, got 1"),
+    (21, 40, 2, f"locality search enumerates q^k = {2**21} codewords, above the cap {SEARCH_WORD_CAP}"),
+    (4, 60, 2, f"locality search visits 56048997 subsets of sizes 2 to 6, above the cap {SEARCH_SUBSET_CAP}"),
+])
+def test_analyze_refuses_locality_before_enumerating(tmp_path, capsys, k, n, delta, message):
+    path = _binary_code_file(tmp_path, k, n, seed=k + n)
+    t0 = time.perf_counter()
+    rc = main(["analyze", str(path), "--delta", str(delta), "--no-timestamp"])
+    assert time.perf_counter() - t0 < (1.0 if k == 21 else 2.0)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 @pytest.mark.parametrize("m,q,message", [(0, 2, "m must be >= 1"), (3, 6, "not a prime power"),

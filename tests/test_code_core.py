@@ -23,7 +23,7 @@ from lrckit import (
     save_code,
     shorten,
 )
-from lrckit.code_core import BLOCK_CELLS, BLOCK_MESSAGES, ENTROPY_MEMO_CAP, rref
+from lrckit.code_core import BLOCK_CELLS, BLOCK_MESSAGES, ENTROPY_MEMO_CAP, codeword_matrix, rref
 from lrckit.galois import Field, field_new
 from lrckit.residual import res_chain, residual
 
@@ -338,6 +338,30 @@ def test_min_weight_kernel_matches_oracle(q, data):
     assert len(calls) == enumerated  # the codeword comes from the cached scan
     assert d == expected[0]
     assert got == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.data())
+def test_min_weight_from_codeword_table_matches_oracle(q, data):
+    k = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 7))
+    rows = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+                              min_size=k, max_size=k))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = linear_code(q, rows)
+    assume(code.k >= 1)
+    codeword_matrix(code)
+    calls = []
+    matmul = Field.matmul
+    Field.matmul = lambda self, A, B: calls.append(1) or matmul(self, A, B)
+    try:
+        d = min_distance(code)
+        got = min_weight_codeword(code)
+    finally:
+        Field.matmul = matmul
+    assert calls == []
+    assert (d, got) == (got[0], _min_weight_oracle(code))
 
 
 def _long_binary_code():

@@ -1,19 +1,31 @@
 """Locality search and verification against the reference codes."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lrckit import (
     closure,
     compute_locality,
     entropy,
+    example_code,
+    linear_code,
     min_distance,
+    min_weight_codeword,
     profile_from_repair_sets,
     restrict,
     simplex,
     simplex_locality,
     verify_repair_set,
 )
+from lrckit import locality
+from lrckit.code_core import codeword_matrix
+from lrckit.galois import Field
+from lrckit.locality import SEARCH_SUBSET_CAP, SEARCH_WORD_CAP, _scan_repair_sets
 
 from conftest import random_code, random_subset
 
@@ -161,3 +173,166 @@ def test_closure_is_admissible_replacement():
         cl = closure(code, R)
         assert entropy(code, cl) == entropy(code, R)
         assert min_distance(restrict(code, cl)) >= min_distance(sub)
+
+
+# --- the level scan against the depth-first oracle ---
+
+def _dfs_scan_oracle(code, delta, cap):
+    """The depth-first subset scan the level scan replaced: one running
+    restricted-weight vector, updated per coordinate pushed or popped.
+    Returns the same (best_size, best_ent) lists as `_scan_repair_sets`."""
+    n, k, q = code.n, code.k, code.q
+    nz = codeword_matrix(code, max_words=SEARCH_WORD_CAP) != 0
+    col_weight = [np.ascontiguousarray(nz[:, j], dtype=np.int32) for j in range(n)]
+    entropy_of_zero_count = {q**j: k - j for j in range(k + 1)}
+
+    best_size: list = [None] * n
+    best_ent: list = [None] * n
+    w = np.zeros(q**k, dtype=np.int32)
+    stack: list[int] = []
+
+    def dfs(start: int) -> None:
+        nonlocal w
+        for j in range(start, n):
+            w += col_weight[j]
+            stack.append(j)
+            if len(stack) >= delta:
+                zeros = int(np.count_nonzero(w == 0))
+                h = entropy_of_zero_count[zeros]
+                if h > 0:
+                    dmin = int(w[w != 0].min())
+                    if dmin >= delta:
+                        tup = tuple(stack)
+                        size_key = (len(tup), tup)
+                        ent_key = (h, tup)
+                        for i in tup:
+                            if best_size[i] is None or size_key < best_size[i]:
+                                best_size[i] = size_key
+                            if best_ent[i] is None or ent_key < best_ent[i]:
+                                best_ent[i] = ent_key
+            if len(stack) < cap:
+                dfs(j + 1)
+            stack.pop()
+            w -= col_weight[j]
+
+    dfs(0)
+    return best_size, best_ent
+
+
+def _quiet_code(q, rows):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return linear_code(q, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.data())
+def test_level_scan_matches_dfs_oracle(q, data):
+    n = data.draw(st.integers(1, 12))
+    k = data.draw(st.integers(1, min(5, n)))
+    rows = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+                              min_size=k, max_size=k))
+    code = _quiet_code(q, rows)
+    assume(code.k >= 1)
+    delta = data.draw(st.integers(2, 5))
+    cap = data.draw(st.integers(1, n))
+    assert _scan_repair_sets(code, delta, cap) == _dfs_scan_oracle(code, delta, cap)
+
+
+@pytest.mark.parametrize("q,k,n", [
+    (3, 3, 9),   # 27 words: one 64-bit word, 37 padding bits
+    (3, 5, 8),   # 243 words: four words, 13 padding bits
+    (2, 6, 10),  # 64 words: exactly one word, no padding
+    (3, 4, 9),   # 81 words: two words, 47 padding bits
+    (5, 3, 7),   # 125 words: two words, 3 padding bits
+])
+def test_level_scan_padding_never_counts(q, k, n):
+    rng = np.random.RandomState(61 + q * 10 + k)
+    code = _quiet_code(q, np.hstack([np.eye(k, dtype=int), rng.randint(0, q, size=(k, n - k))]))
+    assert code.q**code.k == q**k
+    for delta in (2, 3):
+        assert _scan_repair_sets(code, delta, n) == _dfs_scan_oracle(code, delta, n)
+
+
+@pytest.mark.parametrize("n,k,cap", [(66, 3, 3), (260, 2, 2)])
+def test_level_scan_long_binary_code(n, k, cap):
+    # n > 64 coordinates; n > 256 also takes the uint16 coordinate dtype
+    rng = np.random.RandomState(67 + n)
+    code = _quiet_code(2, rng.randint(0, 2, size=(k, n)))
+    got = _scan_repair_sets(code, 2, cap)
+    assert got == _dfs_scan_oracle(code, 2, cap)
+    assert sum(b is not None for b in got[0][64:]) > (n - 64) // 2
+
+
+def test_delta_above_cap_is_infeasible_everywhere(ex1):
+    assert _scan_repair_sets(ex1.code, 5, 3) == ([None] * 10, [None] * 10)
+    prof = compute_locality(ex1.code, 5, size_cap=3)
+    assert prof.infeasible == tuple(range(10))
+    assert (prof.r, prof.kappa) == (None, None)
+
+
+def test_level_scan_spans_many_chunks():
+    """Binary [24, 16]: the unit vectors plus e_i + e_(i+1) for i < 8, so the
+    valid sets at delta 2 are the eight parity triples {i, i+1, 16+i}.
+    Level 3 runs over 64 chunks, and coordinates 1..7 each lie in two
+    triples of equal entropy that fall in different chunks."""
+    gen = np.zeros((16, 24), dtype=int)
+    gen[:, :16] = np.eye(16, dtype=int)
+    for i in range(8):
+        gen[i, 16 + i] = gen[i + 1, 16 + i] = 1
+    code = _quiet_code(2, gen)
+    words = -(-code.q**code.k // 64)
+    chunk = locality.CHUNK_BYTES // (8 * words)
+    assert math.comb(24, 3) // chunk >= 60
+    got = _scan_repair_sets(code, 2, 3)
+    assert got == _dfs_scan_oracle(code, 2, 3)
+    best_size, best_ent = got
+    for i in range(1, 8):
+        assert best_size[i] == (3, (i - 1, i, 15 + i))
+        assert best_ent[i] == (2, (i - 1, i, 15 + i))
+    assert best_size[9:16] == [None] * 7
+
+
+def test_subset_budget_admits_simplex_52_at_default_cap(monkeypatch):
+    code = simplex(5, 2)
+    visited = sum(math.comb(31, s) for s in range(4, 10))
+    assert 3 * 10**7 < visited <= SEARCH_SUBSET_CAP
+    seen = []
+    monkeypatch.setattr(locality, "_scan_repair_sets",
+                        lambda c, delta, cap: seen.append(cap) or ([None] * c.n, [None] * c.n))
+    compute_locality(code, 4)
+    assert seen == [9]
+
+
+def test_subset_budget_refuses_before_enumerating():
+    rng = np.random.RandomState(71)
+    code = _quiet_code(2, np.hstack([np.eye(4, dtype=int), rng.randint(0, 2, size=(4, 56))]))
+    with pytest.raises(ValueError) as exc:
+        compute_locality(code, 2)
+    msg = str(exc.value)
+    assert f"above the cap {SEARCH_SUBSET_CAP}" in msg
+    assert str(sum(math.comb(60, s) for s in range(2, 7))) in msg
+    assert "codeword_matrix" not in code._cache
+
+
+@pytest.mark.parametrize("make", [
+    lambda: example_code(1).code,
+    lambda: simplex(3, 3),
+    lambda: _quiet_code(4, np.random.RandomState(73).randint(0, 4, size=(4, 9))),
+])
+def test_distance_after_locality_reads_the_table(make):
+    code = make()
+    fresh = _quiet_code(code.q, code.gen)
+    compute_locality(code, 2)
+    assert "codeword_matrix" in code._cache
+    calls = []
+    matmul = Field.matmul
+    Field.matmul = lambda self, A, B: calls.append(1) or matmul(self, A, B)
+    try:
+        d = min_distance(code)
+        got = min_weight_codeword(code)
+    finally:
+        Field.matmul = matmul
+    assert calls == []
+    assert d == got[0]
+    assert got == min_weight_codeword(fresh)
