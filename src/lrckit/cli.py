@@ -25,6 +25,7 @@ from datetime import datetime, timezone
 from . import asymptotic as asy
 from . import bounds as bnd
 from .code_core import (
+    MAX_ENUM_CELLS,
     coords_to_1based,
     load_code,
     min_distance,
@@ -43,11 +44,6 @@ EXIT_INPUT = 2
 # --q is checked to be a prime power by trial division up to sqrt(q); at this
 # cap the largest prime below it takes about 10 ms
 MAX_Q = 1 << 32
-
-# `simplex` enumerates all q^m codewords of S(m, q), length (q^m - 1)/(q - 1),
-# so its cost is about q^m * n cells, growing 4x per step in m at q = 2.
-# S(14, 2) is the largest binary one under the cap.
-MAX_SIMPLEX_CELLS = 1 << 28
 
 
 def _timestamp_line(suppress: bool) -> list[str]:
@@ -216,12 +212,13 @@ def cmd_asymptotic(args) -> int:
 
 def cmd_simplex(args) -> int:
     m, q = args.m, args.q
-    # simplex() names an m or q it cannot take.  2^m <= q^m * n, so an m at or
-    # above the cap's bit length is over the cap without computing q^m.
+    # S(m, q) has q^m codewords of length (q^m - 1)/(q - 1).  simplex() names
+    # an m or q it cannot take.  2^m <= q^m * n, so an m at or above the cap's
+    # bit length is over the cap without computing q^m.
     if m >= 1 and 2 <= q <= FIELD_SIZE_CAP and (
-            m >= MAX_SIMPLEX_CELLS.bit_length() or q**m * simplex_length(m, q) > MAX_SIMPLEX_CELLS):
+            m >= MAX_ENUM_CELLS.bit_length() or q**m * simplex_length(m, q) > MAX_ENUM_CELLS):
         raise ValueError(f"S({m},{q}) needs q^m * n codeword cells to enumerate, "
-                         f"above the cap {MAX_SIMPLEX_CELLS}")
+                         f"above the cap {MAX_ENUM_CELLS}")
     code = simplex(m, q)
     d = min_distance(code)
     print(f"S({args.m},{args.q}): [{code.n}, {code.k}, {d}] over GF({args.q})")

@@ -7,9 +7,16 @@ from all other rows in one table lookup per pivot, so its Python-level work
 is one step per pivot, not one per row.  `entropy` memoises H(I) per code in
 ``LinearCode._cache``, keyed by the sorted coordinates, and keeps at most
 ENTROPY_MEMO_CAP sets (the set construction asks for the same few hundred
-sets thousands of times).  Enumeration runs in message blocks of at most
-BLOCK_MESSAGES messages and BLOCK_CELLS message x coordinate cells, so its
-memory stays bounded as n grows.
+sets thousands of times).  Codeword enumeration splits each message index
+as m = hi * q^L + lo: a low table holds the q^L codewords of the last L
+generator rows, built once per code, and high chunks hold the codewords of
+the first k - L rows, so codeword m is high[hi] + low[lo].  Both tables hold
+at most BLOCK_MESSAGES rows and BLOCK_CELLS row x coordinate cells, so memory
+stays bounded as n grows.  The weight scan compares low against the negated
+high row, one comparison per cell, and never forms the sum; a code whose
+low table spans it builds no high table.  Enumeration refuses more than
+MAX_ENUM_CELLS message x coordinate cells (and more than ``max_words``
+messages) before it starts.
 
 Coordinates are 0-based throughout this module and the rest of the library.
 JSON files and CLI reports use 1-based coordinates; the converters at the
@@ -35,11 +42,14 @@ from .galois import Field, field_new
 CoordSet = frozenset  # of int, 0-based
 
 DEFAULT_ENUM_CAP = 1 << 24
-# codeword enumeration works in blocks of at most this many messages, and of
-# at most BLOCK_CELLS message x coordinate cells, so a block's int64 product
-# stays near 16 MB whatever n is
+# enumeration costs about q^k * n cells whatever max_words allows; S(14, 2)
+# is the largest binary Simplex code under this cap
+MAX_ENUM_CELLS = 1 << 28
+# the split kernel's low table and high chunks hold at most this many rows,
+# and at most BLOCK_CELLS row x coordinate cells, so an int64 product inside
+# Field.matmul stays near 2 MB whatever n is
 BLOCK_MESSAGES = 1 << 13
-BLOCK_CELLS = 1 << 21
+BLOCK_CELLS = 1 << 18
 # entropy() remembers at most this many coordinate sets per code
 ENTROPY_MEMO_CAP = 4096
 
@@ -237,20 +247,47 @@ def puncture(code: LinearCode, I) -> LinearCode:
     return restrict(code, rest)
 
 
-def _message_blocks(code: LinearCode, max_words: int):
-    q, k = code.q, code.k
-    block = min(BLOCK_MESSAGES, max(1, BLOCK_CELLS // code.n))
+def _lex_digits(start: int, stop: int, width: int, q: int) -> np.ndarray:
+    """Base-q digits of message indices start..stop-1, most significant first."""
+    pows = q ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    return np.arange(start, stop, dtype=np.int64)[:, None] // pows % q
+
+
+def _split_rows(code: LinearCode, max_words: int):
+    """The one enumeration kernel: yield (m, high_row, low) in lex order.
+
+    Message index m = hi * q^L + lo, where hi holds the first k - L digits.
+    low is the (q^L x n) table of the last L generator rows' codewords and
+    high_row the codeword of hi's digits on the first k - L rows, so messages
+    m .. m + q^L - 1 have the codewords high_row + low.  Both caps are
+    checked before anything is built.
+    """
+    q, k, n = code.q, code.k, code.n
     total = q**k
     if total > max_words:
         raise ValueError(
             f"codeword enumeration needs q^k = {total} messages, above the cap "
             f"{max_words}; raise max_words to run it anyway"
         )
-    pows = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    for start in range(0, total, block):
-        idx = np.arange(start, min(start + block, total), dtype=np.int64)
-        digits = (idx[:, None] // pows[None, :]) % q
-        yield start, digits
+    if total * n > MAX_ENUM_CELLS:
+        raise ValueError(
+            f"codeword enumeration needs q^k * n = {total * n} cells, above the "
+            f"cap MAX_ENUM_CELLS = {MAX_ENUM_CELLS}"
+        )
+    block = min(BLOCK_MESSAGES, max(1, BLOCK_CELLS // n))
+    L = 0
+    while L < k and q ** (L + 1) <= block:
+        L += 1
+    fld = code.field
+    low = fld.matmul(_lex_digits(0, q**L, L, q), code.gen[k - L:])
+    if L == k:  # the low table spans the code
+        yield 0, np.zeros(n, dtype=np.int16), low
+        return
+    span, highs = q**L, q ** (k - L)
+    for start in range(0, highs, block):
+        high = fld.matmul(_lex_digits(start, min(start + block, highs), k - L, q), code.gen[:k - L])
+        for i, row in enumerate(high):
+            yield (start + i) * span, row, low
 
 
 def _min_weight_scan(code: LinearCode, max_words: int) -> tuple[int, int]:
@@ -269,9 +306,10 @@ def _min_weight_scan(code: LinearCode, max_words: int) -> tuple[int, int]:
     table = code._cache.get("codeword_matrix")
     if table is not None:
         weights = [(0, np.count_nonzero(table, axis=1))]
-    else:  # each block's codewords are dropped as soon as they are counted
-        weights = ((start, np.count_nonzero(code.field.matmul(digits, code.gen), axis=1))
-                   for start, digits in _message_blocks(code, max_words))
+    else:  # high + low is nonzero exactly where low != -high
+        neg = code.field.neg_table
+        weights = ((start, np.count_nonzero(low != neg[row], axis=1))
+                   for start, row, low in _split_rows(code, max_words))
     best_w = code.n + 1
     best_idx = -1
     for start, w in weights:
@@ -311,8 +349,10 @@ def codeword_matrix(code: LinearCode, max_words: int = 1 << 16) -> np.ndarray:
     cached = code._cache.get("codeword_matrix")
     if cached is not None:
         return cached
-    parts = [code.field.matmul(digits, code.gen) for _, digits in _message_blocks(code, max_words)]
-    full = np.vstack(parts) if parts else np.zeros((1, code.n), dtype=np.int16)
+    full = np.empty((code.q**code.k, code.n), dtype=np.int16)
+    add = code.field.add_table
+    for start, row, low in _split_rows(code, max_words):
+        full[start:start + len(low)] = add[row, low]
     full.setflags(write=False)
     code._cache["codeword_matrix"] = full
     return full

@@ -16,7 +16,8 @@ from lrckit.constructions import EXAMPLE_IDS
 from lrckit.locality import SEARCH_SUBSET_CAP, SEARCH_WORD_CAP
 
 from conftest import random_code
-from lrckit.cli import MAX_Q, MAX_SIMPLEX_CELLS, main
+from lrckit.cli import MAX_Q, main
+from lrckit.code_core import MAX_ENUM_CELLS
 
 
 @pytest.fixture()
@@ -264,7 +265,7 @@ def test_simplex_refuses_above_cell_cap_before_building(m, q, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"S({m},{q}) needs q^m * n codeword cells" in captured.err
-    assert f"above the cap {MAX_SIMPLEX_CELLS}" in captured.err
+    assert f"above the cap {MAX_ENUM_CELLS}" in captured.err
 
 
 def _binary_code_file(tmp_path, k, n, seed):

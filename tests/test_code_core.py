@@ -3,6 +3,7 @@ puncturing, exact distance, and the polymatroid/closure laws."""
 
 import itertools
 import json
+import time
 import warnings
 
 import numpy as np
@@ -23,7 +24,17 @@ from lrckit import (
     save_code,
     shorten,
 )
-from lrckit.code_core import BLOCK_CELLS, BLOCK_MESSAGES, ENTROPY_MEMO_CAP, codeword_matrix, rref
+from lrckit import code_core
+from lrckit.code_core import (
+    BLOCK_CELLS,
+    BLOCK_MESSAGES,
+    DEFAULT_ENUM_CAP,
+    ENTROPY_MEMO_CAP,
+    MAX_ENUM_CELLS,
+    codeword_matrix,
+    rref,
+)
+from lrckit.constructions import simplex
 from lrckit.galois import Field, field_new
 from lrckit.residual import res_chain, residual
 
@@ -388,20 +399,81 @@ def _long_ternary_code():
 def test_min_weight_scan_spans_capped_blocks(make):
     code = make()
     block = min(BLOCK_MESSAGES, BLOCK_CELLS // code.n)
-    n_blocks = -(-code.q**code.k // block)
-    assert n_blocks >= 3
-    shapes = []
+    L = max(l for l in range(code.k + 1) if code.q**l <= block)
+    assert L < code.k  # the scan runs over more than one high row
+    operands = []
     matmul = Field.matmul
-    Field.matmul = lambda self, A, B: shapes.append(np.shape(A)) or matmul(self, A, B)
+    Field.matmul = lambda self, A, B: operands.append((np.shape(A), np.shape(B))) or matmul(self, A, B)
     try:
         got = min_weight_codeword(code)
     finally:
         Field.matmul = matmul
-    assert len(shapes) == n_blocks
-    assert all(rows * code.n <= BLOCK_CELLS for rows, _ in shapes)
+    # one low table of q^L rows, then the high chunks of q^(k - L) rows
+    assert [a[0] for a, _ in operands] == [code.q**L, code.q ** (code.k - L)]
+    for (rows, t), (t2, n) in operands:
+        assert t == t2 and n == code.n
+        assert rows * n <= BLOCK_CELLS and t * n <= BLOCK_CELLS
     assert got == _min_weight_oracle(code)
     if code.q == 2:
+        assert 2048 // 2**L != 4095 // 2**L  # the tie spans two high rows
         assert got[:2] == (3, (1,) + (0,) * 11)  # index 2048, not the tie at 4095
+
+
+def test_min_distance_refuses_cells_above_cap():
+    rng = np.random.RandomState(61)
+    code = linear_code(2, np.hstack([np.eye(20, dtype=int), rng.randint(0, 2, size=(20, 280))]))
+    assert code.q**code.k <= DEFAULT_ENUM_CAP < code.q**code.k * code.n
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError) as exc:
+        min_distance(code)
+    assert time.perf_counter() - t0 < 1.0
+    assert f"above the cap MAX_ENUM_CELLS = {MAX_ENUM_CELLS}" in str(exc.value)
+    assert "min_weight" not in code._cache
+
+
+def test_cell_cap_admits_largest_simplex():
+    code = simplex(14, 2)
+    assert code.q**code.k * code.n <= MAX_ENUM_CELLS
+    assert 2 * code.q**code.k * code.n > MAX_ENUM_CELLS
+
+
+def _codeword_matrix_oracle(code):
+    """All codewords in message-lex order, each summed row by row."""
+    fld = code.field
+    out = []
+    for msg in itertools.product(range(code.q), repeat=code.k):
+        cw = np.zeros(code.n, dtype=np.int16)
+        for m, row in zip(msg, code.gen):
+            cw = fld.add(cw, fld.mul(m, row))
+        out.append(cw)
+    return np.array(out, dtype=np.int16).reshape(-1, code.n)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16]), st.data())
+def test_split_kernel_matches_oracles(q, data):
+    """Blocks shrunk so that codes with k <= 5 split into several high rows
+    and several high chunks."""
+    k = data.draw(st.integers(1, max(l for l in range(1, 6) if q**l <= 1024)))
+    n = data.draw(st.integers(1, 8))
+    rows = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+                              min_size=k, max_size=k))
+    block_messages = data.draw(st.integers(1, 12))
+    block_cells = data.draw(st.integers(1, 64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fresh = [linear_code(q, rows) for _ in range(2)]
+    assume(fresh[0].k >= 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(code_core, "BLOCK_MESSAGES", block_messages)
+        mp.setattr(code_core, "BLOCK_CELLS", block_cells)
+        d = min_distance(fresh[0])
+        got = min_weight_codeword(fresh[0])
+        table = codeword_matrix(fresh[1])
+    expected = _min_weight_oracle(fresh[0])
+    assert d == expected[0]
+    assert got == expected
+    assert np.array_equal(table, _codeword_matrix_oracle(fresh[1]))
 
 
 # --- polymatroid and closure laws ---

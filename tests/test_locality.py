@@ -149,13 +149,16 @@ def test_simplex_locality_matches_search(m, q):
 def test_kappa_never_exceeds_r():
     rng = np.random.RandomState(41)
     checked = 0
-    while checked < 25:
+    for _ in range(500):  # bounded, so a scan that finds nothing feasible fails
         code = random_code(rng, 2, n_max=9, k_max=4)
         prof = compute_locality(code, 2, size_cap=code.n)
         if not prof.feasible:
             continue
         assert prof.kappa <= prof.r
         checked += 1
+        if checked == 25:
+            break
+    assert checked == 25
 
 
 def test_closure_is_admissible_replacement():
