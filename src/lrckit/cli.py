@@ -18,6 +18,7 @@ All coordinates printed or read here are 1-based.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -296,7 +297,14 @@ def cmd_verify_paper(_args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `lrckit` parser, built on the first call and shared after it.
+
+    Building it costs about 2 ms, most of a `bounds` request, so every
+    `main` call in a process reuses this one; `parse_args` returns a fresh
+    Namespace each time.  Callers must not mutate the returned parser.
+    """
     parser = argparse.ArgumentParser(
         prog="lrckit",
         description="Locality and bound analysis for linear codes over small fields",

@@ -365,12 +365,18 @@ def coords_to_1based(I) -> list[int]:
 
 
 def coords_from_1based(values, n: int) -> CoordSet:
+    """0-based coordinate set of 1-based integer coordinates in [1, n].
+
+    An entry must be an exact int, as a generator entry: a bool, float or
+    string is refused, not converted.
+    """
     out = set()
-    for v in values:
-        iv = int(v)
-        if iv < 1 or iv > n:
-            raise CodeFormatError(f"coordinate {iv} outside [1, {n}]")
-        out.add(iv - 1)
+    for j, v in enumerate(values):
+        if type(v) is not int:
+            raise CodeFormatError(f"entry {j + 1} ({v!r}) is not an integer coordinate")
+        if v < 1 or v > n:
+            raise CodeFormatError(f"coordinate {v} outside [1, {n}]")
+        out.add(v - 1)
     return frozenset(out)
 
 

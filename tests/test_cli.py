@@ -16,7 +16,7 @@ from lrckit.constructions import EXAMPLE_IDS
 from lrckit.locality import SEARCH_SUBSET_CAP, SEARCH_WORD_CAP
 
 from conftest import random_code
-from lrckit.cli import MAX_Q, main
+from lrckit.cli import MAX_Q, build_parser, main
 from lrckit.code_core import MAX_ENUM_CELLS
 
 
@@ -90,6 +90,17 @@ def test_analyze_rank_deficient_warns(tmp_path, capsys):
         rc = main(["analyze", str(path), "--delta", "2", "--no-timestamp"])
     assert rc == 0
     assert "parameters: [4, 1," in capsys.readouterr().out
+
+
+def test_analyze_refuses_non_integer_repair_set_entry(tmp_path, capsys):
+    path = tmp_path / "sets.json"
+    path.write_text('{"q": 2, "k": 1, "n": 3, "generator": [[1, 1, 1]], '
+                    '"repair_sets": [[2, 3], [1, true]]}')
+    assert main(["analyze", str(path), "--delta", "2", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {path}: repair set 2: "
+                            "entry 2 (True) is not an integer coordinate\n")
 
 
 def test_bounds_command(capsys):
@@ -477,3 +488,50 @@ _RANDOM_CASES = _feasible_random_codes()
 def test_verify_optimality_matches_analyze_on_random_codes(code, profile, tmp_path):
     rep = verify_optimality(code, 2, profile)  # locality at the default cap, as analyze
     _assert_same_table(rep, _analyze_json(code, 2, tmp_path))
+
+
+# --- one parser per process ---
+#
+# main reuses the parser build_parser() builds on its first call; these
+# tests check that nothing carries over from one request to the next.
+
+SHARED_PARSER_CASES = ["analyze_ex1.txt", "bounds_all.txt", "asymptotic_fig_4_3.csv",
+                       "simplex_3_2.txt", "build_set_ex1.txt"]
+
+
+def test_shared_parser_goldens_forward_and_reverse(tmp_path):
+    for name in SHARED_PARSER_CASES + SHARED_PARSER_CASES[::-1]:
+        assert golden_output(name, tmp_path) == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_shared_parser_keeps_no_defaults_between_calls(ex1_file, capsys):
+    main(["analyze", str(ex1_file), "--delta", "3", "--cap", "3", "--json"])
+    assert json.loads(capsys.readouterr().out)["size_cap"] == 3
+    # the default cap is min(n, delta + k) = min(10, 3 + 4)
+    main(["analyze", str(ex1_file), "--delta", "3", "--no-timestamp"])
+    assert "locality at delta = 3 (size cap 7, cap active):" in capsys.readouterr().out
+    main(["bounds", "--n", "30", "--d", "5", "--q", "2", "--delta", "3", "--kappa", "2",
+          "--r", "3", "--k", "10", "--json"])
+    capsys.readouterr()
+    main(["bounds", "--n", "13", "--d", "3", "--q", "2", "--delta", "3", "--kappa", "3"])
+    assert capsys.readouterr().out.startswith("parameters: n=13 d=3 q=2 delta=3 kappa=3\n")
+
+
+def test_shared_parser_still_refuses_bad_argv(capsys):
+    good = ["bounds", "--n", "13", "--d", "3", "--q", "2", "--delta", "3", "--kappa", "3"]
+    assert main(good) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--n", "x", "--d", "3", "--q", "2", "--delta", "3", "--kappa", "3"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'x'" in capsys.readouterr().err
+    assert main(good) == 0
+
+
+def test_parser_built_once_per_process(capsys):
+    build_parser.cache_clear()
+    for i in range(50):
+        assert main(["bounds", "--n", str(13 + i), "--d", "3", "--q", "2",
+                     "--delta", "3", "--kappa", "3"]) == 0
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 49)
+    assert build_parser() is build_parser()

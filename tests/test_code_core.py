@@ -31,6 +31,7 @@ from lrckit.code_core import (
     DEFAULT_ENUM_CAP,
     ENTROPY_MEMO_CAP,
     MAX_ENUM_CELLS,
+    code_from_json,
     codeword_matrix,
     rref,
 )
@@ -578,6 +579,66 @@ def test_json_bad_entry(tmp_path):
     with pytest.raises(CodeFormatError) as exc:
         load_code(path)
     assert "row 1, column 2" in str(exc.value)
+
+
+# the generator check names the first bad row or entry; each case below has
+# a second bad entry after the first.
+_GOOD_GEN = [[1, 0, 2, 1], [0, 1, 1, 2]]
+
+
+def _with_entries(*entries):
+    gen = [list(row) for row in _GOOD_GEN]
+    for i, j, v in entries:
+        gen[i][j] = v
+    return gen
+
+
+def _entry_error(row, col):
+    return f"<data>: generator entry at row {row}, column {col} must be an integer in [0, 3)"
+
+
+@pytest.mark.parametrize("gen,message", [
+    (_with_entries((1, 1, True), (1, 3, 5)), _entry_error(2, 2)),
+    (_with_entries((0, 2, 1.0), (1, 0, 7)), _entry_error(1, 3)),
+    (_with_entries((1, 2, -1), (1, 3, True)), _entry_error(2, 3)),
+    (_with_entries((0, 3, 3), (1, 0, -2)), _entry_error(1, 4)),
+    (_with_entries((1, 0, 2**70), (1, 1, 1.5)), _entry_error(2, 1)),
+    (_with_entries((0, 1, "1"),), _entry_error(1, 2)),
+    ([[1, 0, 2, 1], [0, 1, 1]], "<data>: generator row 2 must have n = 4 entries"),
+    ([[1, 0, 2, 1, 0], [0, 1, 1, 2, 9]], "<data>: generator row 1 must have n = 4 entries"),
+    ([(1, 0, 2, 1), [0, 1, 1, 2]], "<data>: generator row 1 must have n = 4 entries"),
+    ([[1, 0, 2, 1], "0112"], "<data>: generator row 2 must have n = 4 entries"),
+    ([[1, 0, 2, 1]], "<data>: 'generator' must be a list of k = 2 rows"),
+    (_GOOD_GEN * 2, "<data>: 'generator' must be a list of k = 2 rows"),
+], ids=["bool", "float", "negative", "at-q", "beyond-int64", "string", "short-row",
+        "long-row", "tuple-row", "string-row", "too-few-rows", "too-many-rows"])
+def test_json_generator_error_messages(gen, message):
+    with pytest.raises(CodeFormatError) as exc:
+        code_from_json({"q": 3, "k": 2, "n": 4, "generator": gen})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("entry,shown", [(1.7, "1.7"), (2.0, "2.0"), ("4", "'4'"),
+                                         (True, "True"), (None, "None")])
+def test_json_repair_set_entry_must_be_integer(entry, shown):
+    data = {"q": 2, "k": 1, "n": 5, "generator": [[1, 1, 1, 1, 1]],
+            "repair_sets": [[1, 2], [3, entry, 5]]}
+    with pytest.raises(CodeFormatError) as exc:
+        code_from_json(data)
+    assert str(exc.value) == f"<data>: repair set 2: entry 2 ({shown}) is not an integer coordinate"
+
+
+def test_json_repair_set_messages_unchanged():
+    data = {"q": 2, "k": 1, "n": 5, "generator": [[1, 1, 1, 1, 1]]}
+    for sets, message in [([[1, 6]], "<data>: repair set 1: coordinate 6 outside [1, 5]"),
+                          ([[2], [0]], "<data>: repair set 2: coordinate 0 outside [1, 5]"),
+                          ([[1], []], "<data>: repair set 2 must be a nonempty list"),
+                          ({"1": [1]}, "<data>: 'repair_sets' must be a list of coordinate lists")]:
+        with pytest.raises(CodeFormatError) as exc:
+            code_from_json({**data, "repair_sets": sets})
+        assert str(exc.value) == message
+    _, sets = code_from_json({**data, "repair_sets": [[5, 1, 5], [2]]})
+    assert sets == (frozenset({0, 4}), frozenset({1}))
 
 
 def test_json_invalid_syntax(tmp_path):
